@@ -605,8 +605,9 @@ impl<'a> StreamingMatcher<'a> {
     /// contract** — only the snapshot's vertex and slot counts are
     /// sanity-checked (in debug builds), which cannot catch e.g. a config
     /// or HET that differs over an identically shaped graph. Obtaining
-    /// matchers through [`crate::synopsis::SynopsisSnapshot::batch_matcher`]
-    /// upholds the contract by construction (one bundle owns both).
+    /// matchers through
+    /// [`crate::synopsis::SynopsisSnapshot::matcher_for_batch`] upholds
+    /// the contract by construction (one bundle owns both).
     pub fn set_frontier_memo(&mut self, memo: Arc<FrontierMemo>) {
         debug_assert_eq!(memo.vertex_count, self.frozen.vertex_count());
         debug_assert_eq!(memo.slot_count, self.frozen.slot_count());
@@ -635,23 +636,17 @@ impl<'a> StreamingMatcher<'a> {
     /// the parse *and* the compilation. Without a cache this is equivalent
     /// to `estimate(plan.expr())`.
     pub fn estimate_plan(&mut self, plan: &QueryPlan) -> f64 {
-        self.estimate_plan_with_stats(plan).0
-    }
-
-    /// [`StreamingMatcher::estimate_plan`] with the visited-node count of
-    /// [`StreamingMatcher::estimate_with_stats`].
-    pub fn estimate_plan_with_stats(&mut self, plan: &QueryPlan) -> (f64, usize) {
-        if let Some(answer) = self.answer_without_traversal(plan.expr()) {
+        if let Some((answer, _)) = self.answer_without_traversal(plan.expr()) {
             return answer;
         }
         match self.compiled_cache.clone() {
             Some(cache) => {
                 let compiled = cache.get_or_compile(plan.id(), || self.compile(plan.expr()));
-                self.run_compiled(&compiled)
+                self.run_compiled(&compiled).0
             }
             None => {
                 let query = self.compile(plan.expr());
-                self.run_compiled(&query)
+                self.run_compiled(&query).0
             }
         }
     }

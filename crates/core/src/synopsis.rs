@@ -133,7 +133,14 @@ impl XseedSynopsis {
     /// replayed per candidate, no materialized EPT; see
     /// [`crate::het::builder`].
     pub fn build_with_het(doc: &Document, config: XseedConfig) -> (Self, HetBuildStats) {
-        Self::build_with_het_strategy(doc, config, crate::het::BselThresholdStrategy)
+        let kernel = KernelBuilder::from_document(doc);
+        let path_tree = PathTree::from_document(doc);
+        let storage = NokStorage::from_document(doc);
+        let (het, stats) = HetBuilder::new(&kernel, &path_tree, &storage, &config).build();
+        (
+            XseedSynopsis::new(kernel, Some(Arc::new(het)), config),
+            stats,
+        )
     }
 
     /// Builds a kernel-only synopsis using `partitions` parallel workers,
@@ -160,47 +167,10 @@ impl XseedSynopsis {
         config: XseedConfig,
         partitions: usize,
     ) -> (Self, HetBuildStats) {
-        Self::build_with_het_partitioned_strategy(
-            doc,
-            config,
-            partitions,
-            crate::het::BselThresholdStrategy,
-        )
-    }
-
-    /// [`XseedSynopsis::build_with_het_partitioned`] with an explicit
-    /// candidate strategy.
-    pub fn build_with_het_partitioned_strategy(
-        doc: &Document,
-        config: XseedConfig,
-        partitions: usize,
-        strategy: impl crate::het::CandidateStrategy + 'static,
-    ) -> (Self, HetBuildStats) {
         let plan = PartitionPlan::for_document(doc, partitions);
         let (kernel, path_tree, storage) = crate::partition::build_synopsis_inputs(doc, &plan);
         let (het, stats) = HetBuilder::new(&kernel, &path_tree, &storage, &config)
-            .with_strategy(strategy)
             .build_partitioned(plan.ranges());
-        (
-            XseedSynopsis::new(kernel, Some(Arc::new(het)), config),
-            stats,
-        )
-    }
-
-    /// [`XseedSynopsis::build_with_het`] with an explicit candidate
-    /// strategy choosing which path-tree nodes get branching entries (e.g.
-    /// [`crate::het::TopKErrorStrategy`] to bound construction cost).
-    pub fn build_with_het_strategy(
-        doc: &Document,
-        config: XseedConfig,
-        strategy: impl crate::het::CandidateStrategy + 'static,
-    ) -> (Self, HetBuildStats) {
-        let kernel = KernelBuilder::from_document(doc);
-        let path_tree = PathTree::from_document(doc);
-        let storage = NokStorage::from_document(doc);
-        let (het, stats) = HetBuilder::new(&kernel, &path_tree, &storage, &config)
-            .with_strategy(strategy)
-            .build();
         (
             XseedSynopsis::new(kernel, Some(Arc::new(het)), config),
             stats,
@@ -694,29 +664,22 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// A streaming matcher with this snapshot's shared frontier memo
-    /// installed — the batch hot path. The memo is built on first use and
-    /// cached for the snapshot's lifetime.
-    pub fn batch_matcher(&self) -> StreamingMatcher<'_> {
-        let mut matcher = self.matcher();
-        matcher.set_frontier_memo(self.frontier_memo().clone());
-        matcher
-    }
-
     /// The matcher a batch of `batch_len` queries should use — the single
-    /// home of the memo-activation policy: memoized replay for real
-    /// batches, the cold streaming pass for 0/1 queries. Singles stay
-    /// cold even when a memo already exists because a lone query is
-    /// cheaper without the replay setup; the choice is purely a
-    /// performance knob, since both paths walk the same frontier (the
-    /// expansion is a deterministic function of the snapshot + config +
-    /// HET, threshold escalation included).
+    /// home of the memo-activation policy: for real batches, the
+    /// snapshot's shared frontier memo is installed (built on first use
+    /// and cached for the snapshot's lifetime) so every query replays it;
+    /// 0/1 queries get the cold streaming pass. Singles stay cold even
+    /// when a memo already exists because a lone query is cheaper without
+    /// the replay setup; the choice is purely a performance knob, since
+    /// both paths walk the same frontier (the expansion is a
+    /// deterministic function of the snapshot + config + HET, threshold
+    /// escalation included).
     pub fn matcher_for_batch(&self, batch_len: usize) -> StreamingMatcher<'_> {
+        let mut matcher = self.matcher();
         if batch_len > 1 {
-            self.batch_matcher()
-        } else {
-            self.matcher()
+            matcher.set_frontier_memo(self.frontier_memo().clone());
         }
+        matcher
     }
 
     /// The shared frontier memo (the traveler's expansion recorded once),
@@ -948,20 +911,6 @@ mod tests {
         let stats =
             synopsis.rebuild_het_with_strategy(&doc, crate::het::TopKErrorStrategy { k: 1 });
         assert!(stats.candidate_nodes <= 1);
-    }
-
-    #[test]
-    fn build_with_het_strategy_matches_default_for_bsel_threshold() {
-        let doc = figure4_document();
-        let config = XseedConfig::default().with_bsel_threshold(0.99);
-        let (a, stats_a) = XseedSynopsis::build_with_het(&doc, config.clone());
-        let (b, stats_b) =
-            XseedSynopsis::build_with_het_strategy(&doc, config, crate::het::BselThresholdStrategy);
-        assert_eq!(stats_a, stats_b);
-        for q in ["/a/b/d/e", "/a/b/d[f]/e", "//d[e][f]"] {
-            let expr = parse(q).unwrap();
-            assert_eq!(a.estimate(&expr).to_bits(), b.estimate(&expr).to_bits());
-        }
     }
 
     #[test]

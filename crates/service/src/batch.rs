@@ -25,7 +25,7 @@ use crate::metrics::{Obs, Stage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpathkit::QueryPlan;
-use xseed_core::{BoundedEstimate, SynopsisSnapshot};
+use xseed_core::SynopsisSnapshot;
 
 /// One observed cardinality in a feedback batch: the executed query (a
 /// cached plan, so repeated feedback skips the parser) plus what the
@@ -52,25 +52,17 @@ pub struct FeedbackItem {
 /// batch on the same matcher kind, so the memo build cost is paid (or
 /// skipped) coherently for the whole logical batch; the memoized and
 /// cold frontiers themselves are always identical.
-pub fn execute_batch(
-    snapshot: &SynopsisSnapshot,
-    batch: &[Arc<QueryPlan>],
-    policy_len: usize,
-) -> Vec<f64> {
-    execute_batch_observed(snapshot, batch, policy_len, &None)
-}
-
-/// [`execute_batch`] with per-stage observability: when `obs` is present,
-/// each plan's compilation (compiled-cache misses only, captured inside
-/// the miss closure by
+///
+/// With `obs` present, each plan's compilation (compiled-cache misses
+/// only, captured inside the miss closure by
 /// [`xseed_core::StreamingMatcher::estimate_plan_timed`] so the cache
 /// counters see exactly one lookup per estimate) is timed into
 /// [`Stage::Compile`], and one `Instant` pair around the whole chunk
 /// records `batch.len()` [`Stage::Estimate`] samples of the per-query
 /// mean with the total compile time subtracted out, so the two stages
 /// partition the work and the warm per-query hot path pays no clock
-/// reads at all (see [`Obs::record_amortized`]). With `obs` absent this
-/// is exactly [`execute_batch`].
+/// reads at all (see [`Obs::record_amortized`]). With `obs` absent no
+/// clock is read.
 pub fn execute_batch_observed(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
@@ -102,25 +94,6 @@ pub fn execute_batch_observed(
     estimates
 }
 
-/// Estimates every plan of `batch` in **bound mode** over one snapshot
-/// pass: each result pairs the point estimate with a guaranteed upper
-/// bound on the true cardinality
-/// ([`xseed_core::StreamingMatcher::estimate_plan_bound`]). Matcher
-/// selection follows the same `policy_len` rule as [`execute_batch`]; the
-/// compiled form is shared with the point path through the snapshot's
-/// compiled-query cache.
-pub fn execute_batch_bound(
-    snapshot: &SynopsisSnapshot,
-    batch: &[Arc<QueryPlan>],
-    policy_len: usize,
-) -> Vec<BoundedEstimate> {
-    let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
-    batch
-        .iter()
-        .map(|plan| matcher.estimate_plan_bound(plan))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,33 +109,13 @@ mod tests {
             .iter()
             .map(|q| Arc::new(QueryPlan::parse(q).unwrap()))
             .collect();
-        let batch = execute_batch(&snapshot, &plans, plans.len());
+        let batch = execute_batch_observed(&snapshot, &plans, plans.len(), &None);
         for (plan, got) in plans.iter().zip(&batch) {
             let expected = synopsis.estimate(plan.expr());
             assert!((expected - got).abs() < 1e-9, "{}", plan.text());
         }
         // Single-plan batches work too.
-        let single = execute_batch(&snapshot, &plans[..1], 1);
+        let single = execute_batch_observed(&snapshot, &plans[..1], 1, &None);
         assert!((single[0] - batch[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_bound_dominates_point_estimates() {
-        let synopsis =
-            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-                .unwrap();
-        let snapshot = synopsis.snapshot();
-        let plans: Vec<Arc<QueryPlan>> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*", "/a/zzz"]
-            .iter()
-            .map(|q| Arc::new(QueryPlan::parse(q).unwrap()))
-            .collect();
-        let points = execute_batch(&snapshot, &plans, plans.len());
-        let bounded = execute_batch_bound(&snapshot, &plans, plans.len());
-        for ((plan, point), be) in plans.iter().zip(&points).zip(&bounded) {
-            assert!((be.estimate - point).abs() < 1e-9, "{}", plan.text());
-            assert!(be.bound >= be.estimate, "{}", plan.text());
-        }
-        // Bound of an absent label is exactly zero.
-        assert_eq!(bounded[4].bound, 0.0);
     }
 }

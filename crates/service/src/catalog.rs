@@ -12,7 +12,15 @@
 //!   snapshot rebuild (including the kernel re-freeze) under that entry's
 //!   mutex only, then swaps the published snapshot in one brief write.
 //!   In-flight estimates holding the previous snapshot simply finish
-//!   against the epoch they started with.
+//!   against the epoch they started with;
+//! * **monitoring** ([`Catalog::info`]) reads only published state, so it
+//!   never waits behind an update or a long HET rebuild.
+//!
+//! Registration takes an already built synopsis
+//! (`XseedSynopsis::build` or `build_from_xml`): [`Catalog::insert`],
+//! [`Catalog::insert_retained`] to keep the source document, or the
+//! general [`Catalog::insert_full`], which adds a document cap and is
+//! what `LOAD` and snapshot restore use.
 //!
 //! Epochs never regress for a name: re-registering a document under an
 //! existing name ([`Catalog::insert`]) advances the new synopsis past the
@@ -23,7 +31,7 @@
 //! ## Self-maintenance
 //!
 //! Each entry optionally **retains its source document**
-//! ([`RetentionPolicy::Retain`]), carries a [`MaintenancePolicy`], and
+//! ([`Catalog::insert_retained`]), carries a [`MaintenancePolicy`], and
 //! accumulates the absolute-error mass that query feedback
 //! ([`Catalog::record_feedback`]) exposes. When the policy decides the
 //! synopsis has drifted far enough *and* the document is retained, the
@@ -41,26 +49,8 @@ use xmlkit::tree::Document;
 use xpathkit::ast::PathExpr;
 use xseed_core::{
     BselThresholdStrategy, CandidateContext, CandidateStrategy, FeedbackOutcome, FeedbackReport,
-    SynopsisSnapshot, XseedConfig, XseedSynopsis,
+    SynopsisSnapshot, XseedSynopsis,
 };
-
-/// Whether a load keeps the source [`Document`] alongside the synopsis.
-///
-/// Retention is what makes automatic HET maintenance possible: a rebuild
-/// needs the document's exact statistics, and a dropped document would
-/// force the caller back into the loop. The cost is the document's heap
-/// footprint (typically an order of magnitude above the synopsis itself —
-/// see `docs/OPERATIONS.md` for sizing guidance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Build the synopsis and drop the document (the pre-maintenance
-    /// behavior, and the default).
-    #[default]
-    Drop,
-    /// Keep an `Arc` of the document in the entry for feedback-driven
-    /// rebuilds.
-    Retain,
-}
 
 /// When the catalog should consider a synopsis due for an automatic HET
 /// rebuild. Tracked per document; evaluated after every applied feedback.
@@ -183,21 +173,34 @@ impl CandidateStrategy for SharedStrategy {
     }
 }
 
+/// What an entry publishes to readers: the snapshot plus the byte size of
+/// its kernel, so [`Catalog::info`] never needs the writer lock. Sizing a
+/// kernel serializes it, so a publish measures it only when it carries a
+/// new kernel; HET and config publishes (feedback, rebuilds) carry the
+/// size over.
+struct Published {
+    snapshot: SynopsisSnapshot,
+    kernel_bytes: usize,
+}
+
 struct Entry {
     /// The build/update side, locked only by writers.
     synopsis: Mutex<XseedSynopsis>,
     /// The read side: swapped atomically when an update publishes.
-    published: RwLock<SynopsisSnapshot>,
+    published: RwLock<Published>,
     /// Retention + maintenance accounting; see [`MaintenanceState`].
     maintenance: Mutex<MaintenanceState>,
 }
 
 impl Entry {
-    fn published(&self) -> SynopsisSnapshot {
+    fn read_published(&self) -> std::sync::RwLockReadGuard<'_, Published> {
         self.published
             .read()
             .unwrap_or_else(|poison| poison.into_inner())
-            .clone()
+    }
+
+    fn published(&self) -> SynopsisSnapshot {
+        self.read_published().snapshot.clone()
     }
 
     fn maintenance(&self) -> std::sync::MutexGuard<'_, MaintenanceState> {
@@ -396,7 +399,8 @@ impl Catalog {
     /// Like [`Catalog::insert`], but also retains `document` so
     /// feedback-driven maintenance ([`Catalog::rebuild_het_retained`])
     /// can rebuild the entry's HET without the caller re-supplying it.
-    /// `document` must be the document `synopsis` summarizes.
+    /// `document` must be the document `synopsis` summarizes. The entry
+    /// keeps the `Arc` itself, so retaining never copies the document.
     pub fn insert_retained(
         &self,
         name: &str,
@@ -408,30 +412,14 @@ impl Catalog {
             .expect("uncapped insert cannot be rejected")
     }
 
-    /// Like [`Catalog::insert`], but refuses to *create* a new entry when
-    /// the catalog already holds `max_documents` (replacing an existing
-    /// name always succeeds). The capacity check and the map insert
-    /// happen under one write lock, so concurrent sessions cannot race
-    /// past the cap. Returns `None` when rejected.
-    pub fn insert_capped(
-        &self,
-        name: &str,
-        synopsis: XseedSynopsis,
-        max_documents: usize,
-    ) -> Option<SynopsisSnapshot> {
-        self.insert_full(
-            name,
-            synopsis,
-            Some(max_documents),
-            None,
-            MaintenancePolicy::Manual,
-        )
-    }
-
     /// The general registration path: optional capacity cap, optional
     /// retained document, and the initial maintenance policy. Replacing a
     /// name starts its maintenance accounting fresh (the synopsis the old
-    /// counters described is gone).
+    /// counters described is gone). With `max_documents`, a *new* name is
+    /// refused (`None`) once the catalog holds that many entries, while
+    /// replacing an existing name always succeeds; the capacity check and
+    /// the map insert happen under one write lock, so concurrent sessions
+    /// cannot race past the cap.
     pub fn insert_full(
         &self,
         name: &str,
@@ -442,13 +430,14 @@ impl Catalog {
     ) -> Option<SynopsisSnapshot> {
         // Claiming through the ledger makes the epoch unique for the name
         // even against racing publishes; the freeze inside `snapshot()`
-        // then runs outside the name-map lock. If two inserts race, the
-        // last map write wins the published slot (both epochs stay
-        // distinct, so stale keys never collide). A claim for an insert
-        // the cap then rejects is harmless: the ledger only pushes later
-        // epochs upward.
+        // and the kernel sizing then run outside the name-map lock. If
+        // two inserts race, the last map write wins the published slot
+        // (both epochs stay distinct, so stale keys never collide). A
+        // claim for an insert the cap then rejects is harmless: the
+        // ledger only pushes later epochs upward.
         self.claim_epoch(name, &mut synopsis, true);
         let snapshot = synopsis.snapshot();
+        let kernel_bytes = synopsis.kernel_size_bytes();
         let mut entries = self
             .entries
             .write()
@@ -462,115 +451,14 @@ impl Catalog {
             name.to_string(),
             Arc::new(Entry {
                 synopsis: Mutex::new(synopsis),
-                published: RwLock::new(snapshot.clone()),
+                published: RwLock::new(Published {
+                    snapshot: snapshot.clone(),
+                    kernel_bytes,
+                }),
                 maintenance: Mutex::new(MaintenanceState::new(document, policy)),
             }),
         );
         Some(snapshot)
-    }
-
-    /// Builds a kernel-only synopsis from a document and registers it.
-    pub fn load_document(
-        &self,
-        name: &str,
-        doc: &Document,
-        config: XseedConfig,
-    ) -> SynopsisSnapshot {
-        self.insert(name, XseedSynopsis::build(doc, config))
-    }
-
-    /// [`Catalog::load_document`] with an explicit [`RetentionPolicy`]:
-    /// `Retain` clones the document into the entry so feedback-driven
-    /// maintenance can rebuild without the caller. Callers that already
-    /// hold (or can move into) an `Arc<Document>` should prefer
-    /// [`Catalog::load_document_arc`], which retains without the deep
-    /// copy.
-    pub fn load_document_with(
-        &self,
-        name: &str,
-        doc: &Document,
-        config: XseedConfig,
-        retention: RetentionPolicy,
-        policy: MaintenancePolicy,
-    ) -> SynopsisSnapshot {
-        let synopsis = XseedSynopsis::build(doc, config);
-        let document = match retention {
-            RetentionPolicy::Drop => None,
-            RetentionPolicy::Retain => Some(Arc::new(doc.clone())),
-        };
-        self.insert_full(name, synopsis, None, document, policy)
-            .expect("uncapped insert cannot be rejected")
-    }
-
-    /// [`Catalog::load_document`] built with `partitions` parallel
-    /// partition workers ([`XseedSynopsis::build_partitioned`]). The
-    /// registered synopsis is bit-identical to the monolithic one — same
-    /// serialized kernel, same estimates — so callers pick a worker count
-    /// purely on build-latency grounds.
-    pub fn load_document_partitioned(
-        &self,
-        name: &str,
-        doc: &Document,
-        config: XseedConfig,
-        partitions: usize,
-    ) -> SynopsisSnapshot {
-        self.insert(
-            name,
-            XseedSynopsis::build_partitioned(doc, config, partitions),
-        )
-    }
-
-    /// Builds and registers a synopsis from a shared document, retaining
-    /// the `Arc` itself for automatic rebuilds — no document copy, so
-    /// this is the cheap path for large retained documents (the `LOAD …
-    /// retain` protocol handler goes through the equivalent
-    /// [`Catalog::insert_full`]).
-    pub fn load_document_arc(
-        &self,
-        name: &str,
-        doc: Arc<Document>,
-        config: XseedConfig,
-        policy: MaintenancePolicy,
-    ) -> SynopsisSnapshot {
-        let synopsis = XseedSynopsis::build(&doc, config);
-        self.insert_full(name, synopsis, None, Some(doc), policy)
-            .expect("uncapped insert cannot be rejected")
-    }
-
-    /// SAX-parses XML text, builds a synopsis, and registers it.
-    pub fn load_xml(
-        &self,
-        name: &str,
-        xml: &str,
-        config: XseedConfig,
-    ) -> Result<SynopsisSnapshot, xmlkit::Error> {
-        let synopsis = XseedSynopsis::build_from_xml(xml, config)?;
-        Ok(self.insert(name, synopsis))
-    }
-
-    /// [`Catalog::load_xml`] with an explicit [`RetentionPolicy`]. With
-    /// `Retain`, the XML is parsed into a [`Document`] first so the entry
-    /// can keep it for automatic rebuilds.
-    pub fn load_xml_with(
-        &self,
-        name: &str,
-        xml: &str,
-        config: XseedConfig,
-        retention: RetentionPolicy,
-        policy: MaintenancePolicy,
-    ) -> Result<SynopsisSnapshot, xmlkit::Error> {
-        match retention {
-            RetentionPolicy::Drop => {
-                let synopsis = XseedSynopsis::build_from_xml(xml, config)?;
-                Ok(self
-                    .insert_full(name, synopsis, None, None, policy)
-                    .expect("uncapped insert cannot be rejected"))
-            }
-            RetentionPolicy::Retain => {
-                let doc = Document::parse_str(xml)?;
-                Ok(self.load_document_with(name, &doc, config, retention, policy))
-            }
-        }
     }
 
     /// The published snapshot of `name`, if registered. This is the read
@@ -625,10 +513,21 @@ impl Catalog {
         // published snapshot. The write lock itself is held only for the
         // swap.
         let snapshot = synopsis.snapshot();
+        // A publish that kept the frozen kernel kept the kernel. Both
+        // snapshots hold their `Arc`, so equal addresses mean one kernel.
+        let unchanged = {
+            let current = entry.read_published();
+            std::ptr::eq(current.snapshot.frozen(), snapshot.frozen())
+                .then_some(current.kernel_bytes)
+        };
+        let kernel_bytes = unchanged.unwrap_or_else(|| synopsis.kernel_size_bytes());
         *entry
             .published
             .write()
-            .unwrap_or_else(|poison| poison.into_inner()) = snapshot.clone();
+            .unwrap_or_else(|poison| poison.into_inner()) = Published {
+            snapshot: snapshot.clone(),
+            kernel_bytes,
+        };
         drop(synopsis);
         (result, snapshot)
     }
@@ -971,9 +870,9 @@ impl Catalog {
         self.len() == 0
     }
 
-    /// Per-entry summaries, sorted by name. Taking each entry's synopsis
-    /// lock briefly (for the byte sizes) may wait behind an in-progress
-    /// update of that entry, but never blocks the read path.
+    /// Per-entry summaries, sorted by name. Reads only what each entry
+    /// published, so it never waits behind an in-progress update or HET
+    /// rebuild of that entry.
     pub fn info(&self) -> Vec<DocumentInfo> {
         let entries: Vec<(String, Arc<Entry>)> = self
             .entries
@@ -985,12 +884,12 @@ impl Catalog {
         let mut out: Vec<DocumentInfo> = entries
             .into_iter()
             .map(|(name, e)| {
-                let snapshot = e.published();
-                let size_bytes = e
-                    .synopsis
-                    .lock()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .size_bytes();
+                let (snapshot, kernel_bytes) = {
+                    let published = e.read_published();
+                    (published.snapshot.clone(), published.kernel_bytes)
+                };
+                let size_bytes =
+                    kernel_bytes + snapshot.het().map_or(0, |het| het.resident_bytes());
                 let compiled = snapshot.compiled_cache_stats();
                 let m = e.maintenance();
                 DocumentInfo {
@@ -1020,13 +919,33 @@ impl Catalog {
 mod tests {
     use super::*;
     use xpathkit::parse;
+    use xseed_core::XseedConfig;
+
+    fn from_xml(xml: &str) -> XseedSynopsis {
+        XseedSynopsis::build_from_xml(xml, XseedConfig::default()).unwrap()
+    }
 
     fn sample_catalog() -> Catalog {
         let catalog = Catalog::new();
+        catalog.insert("fig2", from_xml(xmlkit::samples::FIGURE2_XML));
         catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
-        catalog
+    }
+
+    /// Registers the Figure 4 document as `fig4`, retained for rebuilds;
+    /// returns the retained document.
+    fn insert_fig4_retained(
+        catalog: &Catalog,
+        config: XseedConfig,
+        policy: MaintenancePolicy,
+    ) -> Arc<Document> {
+        let doc = Arc::new(xmlkit::samples::figure4_document());
+        catalog.insert_retained(
+            "fig4",
+            XseedSynopsis::build(&doc, config),
+            doc.clone(),
+            policy,
+        );
+        doc
     }
 
     #[test]
@@ -1072,9 +991,7 @@ mod tests {
         assert_eq!(catalog.snapshot("fig2").unwrap().epoch(), 3);
         // Re-LOADing the name with a brand-new synopsis (epoch 0 on its
         // own) must publish a *later* epoch, not reset to 0.
-        let replaced = catalog
-            .load_xml("fig2", "<a><b/></a>", XseedConfig::default())
-            .unwrap();
+        let replaced = catalog.insert("fig2", from_xml("<a><b/></a>"));
         assert_eq!(replaced.epoch(), 4);
         let snap = catalog.snapshot("fig2").unwrap();
         assert_eq!(snap.epoch(), 4);
@@ -1093,9 +1010,7 @@ mod tests {
         assert!(catalog.snapshot("fig2").is_none());
         // Re-registering the name publishes a strictly later epoch even
         // though the entry was gone in between.
-        let snap = catalog
-            .load_xml("fig2", "<a><b/></a>", XseedConfig::default())
-            .unwrap();
+        let snap = catalog.insert("fig2", from_xml("<a><b/></a>"));
         assert_eq!(snap.epoch(), 3);
     }
 
@@ -1103,10 +1018,9 @@ mod tests {
     fn rebuild_het_bumps_epoch_and_keeps_old_snapshots_serving() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document(
+        catalog.insert(
             "fig4",
-            &doc,
-            XseedConfig::default().with_bsel_threshold(0.99),
+            XseedSynopsis::build(&doc, XseedConfig::default().with_bsel_threshold(0.99)),
         );
         let old = catalog.snapshot("fig4").unwrap();
         let q = parse("/a/b/d/e").unwrap();
@@ -1127,14 +1041,7 @@ mod tests {
     #[test]
     fn feedback_updates_het_and_accumulates_error_mass() {
         let catalog = Catalog::new();
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
-            XseedConfig::default(),
-            RetentionPolicy::Retain,
-            MaintenancePolicy::Manual,
-        );
+        insert_fig4_retained(&catalog, XseedConfig::default(), MaintenancePolicy::Manual);
         assert!(catalog.retained_document("fig4").is_some());
         let expr = parse("/a/b/d/e").unwrap();
         let before = catalog.snapshot("fig4").unwrap();
@@ -1156,6 +1063,9 @@ mod tests {
         assert_eq!(info.feedback_applied, 1);
         assert_eq!(info.feedback_ignored, 0);
         assert!((info.error_mass - fb.report.error).abs() < 1e-12);
+        // The published size counts the HET entry the feedback added.
+        let (writer_side, _) = catalog.update("fig4", |syn| syn.size_bytes()).unwrap();
+        assert_eq!(info.size_bytes, writer_side);
 
         // Unsupported feedback neither bumps the epoch nor adds mass.
         let ignored = catalog
@@ -1175,12 +1085,9 @@ mod tests {
     #[test]
     fn error_mass_policy_reports_due_once_and_rebuild_resets() {
         let catalog = Catalog::new();
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
+        insert_fig4_retained(
+            &catalog,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let expr = parse("/a/b/d/e").unwrap();
@@ -1248,12 +1155,9 @@ mod tests {
     #[test]
     fn feedback_batch_applies_under_one_epoch() {
         let catalog = Catalog::new();
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
+        insert_fig4_retained(
+            &catalog,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let epoch_before = catalog.snapshot("fig4").unwrap().epoch();
@@ -1290,12 +1194,9 @@ mod tests {
     #[test]
     fn auto_rebuild_is_superseded_by_a_concurrent_reload() {
         let catalog = Catalog::new();
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
+        insert_fig4_retained(
+            &catalog,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let fb = catalog
@@ -1305,11 +1206,9 @@ mod tests {
         // A re-LOAD replaces the entry before the queued rebuild runs:
         // the fresh entry owes nothing, so the auto path must refuse
         // (while the explicit operator path still works).
-        catalog.load_document_with(
-            "fig4",
-            &doc,
+        insert_fig4_retained(
+            &catalog,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         assert_eq!(
@@ -1321,13 +1220,13 @@ mod tests {
     }
 
     #[test]
-    fn load_document_arc_retains_without_cloning() {
+    fn insert_retained_keeps_the_arc_without_cloning() {
         let catalog = Catalog::new();
         let doc = Arc::new(xmlkit::samples::figure4_document());
-        catalog.load_document_arc(
+        catalog.insert_retained(
             "fig4",
+            XseedSynopsis::build(&doc, XseedConfig::default()),
             doc.clone(),
-            XseedConfig::default(),
             MaintenancePolicy::Manual,
         );
         let retained = catalog.retained_document("fig4").unwrap();
@@ -1360,12 +1259,9 @@ mod tests {
     #[test]
     fn rebuild_strategy_is_configurable() {
         let catalog = Catalog::new();
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
+        insert_fig4_retained(
+            &catalog,
             XseedConfig::default().with_bsel_threshold(0.99),
-            RetentionPolicy::Retain,
             MaintenancePolicy::Manual,
         );
         assert!(catalog.set_rebuild_strategy("fig4", xseed_core::TopKErrorStrategy { k: 1 }));
@@ -1377,9 +1273,7 @@ mod tests {
     #[test]
     fn info_reports_entries() {
         let catalog = sample_catalog();
-        catalog
-            .load_xml("tiny", "<r><x/></r>", XseedConfig::default())
-            .unwrap();
+        catalog.insert("tiny", from_xml("<r><x/></r>"));
         let info = catalog.info();
         assert_eq!(info.len(), 2);
         assert_eq!(info[0].name, "fig2");
@@ -1390,5 +1284,50 @@ mod tests {
         assert!(catalog.remove("tiny"));
         assert!(!catalog.remove("tiny"));
         assert_eq!(catalog.len(), 1);
+    }
+
+    #[test]
+    fn info_does_not_wait_for_an_update_in_progress() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let catalog = Arc::new(sample_catalog());
+        let before = catalog.info()[0].size_bytes;
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let writer = {
+            let catalog = catalog.clone();
+            std::thread::spawn(move || {
+                catalog.update("fig2", |syn| {
+                    entered_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                    let root = syn.kernel().name(syn.kernel().root().unwrap()).to_string();
+                    let subtree = xmlkit::Document::parse_str("<zzz><yyy/></zzz>").unwrap();
+                    syn.kernel_mut().add_subtree(&[root.as_str()], &subtree)
+                });
+            })
+        };
+        entered_rx.recv().unwrap();
+        let (info_tx, info_rx) = mpsc::channel();
+        let reader = {
+            let catalog = catalog.clone();
+            std::thread::spawn(move || {
+                let _ = info_tx.send(catalog.info());
+            })
+        };
+        let during = info_rx.recv_timeout(Duration::from_secs(10));
+        // Release the writer before asserting, so a failure cannot leave
+        // it parked.
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+        reader.join().unwrap();
+        let during = during.expect("info() waited for the update to finish");
+        assert_eq!(during[0].size_bytes, before, "pre-update size");
+
+        // The update grew the kernel, so its publish re-measured it.
+        let after = catalog.info()[0].size_bytes;
+        assert!(after > before);
+        let (writer_side, _) = catalog.update("fig2", |syn| syn.size_bytes()).unwrap();
+        assert_eq!(after, writer_side);
     }
 }

@@ -9,10 +9,13 @@
 //!
 //! * [`catalog`] — a [`Catalog`] of named synopses (XMark, DBLP, Treebank,
 //!   user-loaded documents) that publishes epoch-versioned
-//!   [`xseed_core::SynopsisSnapshot`]s. Readers clone an `Arc` and never
-//!   lock again; writers mutate the synopsis and publish a fresh snapshot,
-//!   so in-flight estimates keep answering from their own consistent
-//!   pre-update state.
+//!   [`xseed_core::SynopsisSnapshot`]s. Callers build a synopsis
+//!   (`XseedSynopsis::build` or `build_from_xml`) and register it with
+//!   [`Catalog::insert`], or with [`Catalog::insert_retained`] to keep the
+//!   source `Arc<Document>` for feedback-driven HET rebuilds. Readers
+//!   clone an `Arc` and never lock again; writers mutate the synopsis and
+//!   publish a fresh snapshot, so in-flight estimates keep answering from
+//!   their own consistent pre-update state.
 //! * [`plan_cache`] — a sharded LRU [`PlanCache`] from query text to
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
 //!   skip the parser across all worker threads without a global lock.
@@ -118,10 +121,10 @@ pub mod server;
 pub mod service;
 pub mod trace;
 
-pub use batch::{execute_batch, execute_batch_observed, FeedbackItem};
+pub use batch::{execute_batch_observed, FeedbackItem};
 pub use catalog::{
     Catalog, CatalogFeedback, CatalogFeedbackBatch, DocumentInfo, MaintenancePolicy, RebuildError,
-    RetentionPolicy, SnapshotError,
+    SnapshotError,
 };
 pub use limiter::{RateLimiter, TokenBucket};
 pub use metrics::{format_milli_q, q_error_milli, Histogram, HistogramSnapshot, Obs, Stage};

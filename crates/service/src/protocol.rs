@@ -991,12 +991,18 @@ mod tests {
     use crate::service::ServiceConfig;
     use std::sync::Arc;
 
-    fn service() -> Service {
+    fn fig2_catalog() -> Arc<Catalog> {
         let catalog = Arc::new(Catalog::new());
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
-        Service::new(catalog, ServiceConfig::with_workers(2))
+    }
+
+    fn service() -> Service {
+        Service::new(fig2_catalog(), ServiceConfig::with_workers(2))
     }
 
     fn reply(service: &Service, line: &str) -> String {
@@ -1355,12 +1361,8 @@ mod tests {
 
     #[test]
     fn overloaded_batches_get_the_structured_reply() {
-        let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
         let service = Service::new(
-            catalog,
+            fig2_catalog(),
             ServiceConfig::with_workers(1).with_queue_capacity(4),
         );
         // A batch larger than the whole queue budget can never be
@@ -1459,12 +1461,8 @@ mod tests {
 
     #[test]
     fn observability_off_disables_the_obs_surface() {
-        let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
         let service = Service::new(
-            catalog,
+            fig2_catalog(),
             ServiceConfig::with_workers(1).with_observability(false),
         );
         assert_eq!(reply(&service, "EST fig2 /a/c/s"), "OK 5");

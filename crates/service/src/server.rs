@@ -415,7 +415,9 @@ impl EventLoop {
                     obs.trace().record(TraceKind::ShedOff, "connections");
                 }
             }
-            if stream.set_nonblocking(true).is_err() {
+            // Replies go out as soon as they are ready: with Nagle on, a
+            // pipelined reply could wait for the client's delayed ACK.
+            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                 continue;
             }
             let token = self.next_token;
@@ -642,13 +644,15 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::service::ServiceConfig;
-    use xseed_core::XseedConfig;
+    use xseed_core::{XseedConfig, XseedSynopsis};
 
     fn service() -> Arc<Service> {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Arc::new(Service::new(catalog, ServiceConfig::with_workers(1)))
     }
 
@@ -688,6 +692,24 @@ mod tests {
             &mut output,
         );
         assert!(output.is_empty());
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut event_loop = EventLoop::new(&listener, ServerConfig::default(), service()).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.conns.is_empty() && Instant::now() < deadline {
+            event_loop.accept_ready();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let conn = event_loop
+            .conns
+            .values()
+            .next()
+            .expect("connection accepted");
+        assert!(conn.stream.nodelay().unwrap());
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! are counted (`feedback_applied` / `feedback_ignored` /
 //! `rebuilds_triggered` in [`ServiceStats`]).
 
-use crate::batch::{execute_batch_bound, execute_batch_observed, FeedbackItem};
+use crate::batch::{execute_batch_observed, FeedbackItem};
 use crate::catalog::{Catalog, CatalogFeedbackBatch, RebuildError, SnapshotError};
 use crate::metrics::{Obs, Stage};
 use crate::persist::WarmStart;
@@ -185,7 +185,8 @@ struct Job {
     snapshot: SynopsisSnapshot,
     plans: Vec<Arc<QueryPlan>>,
     /// Length of the whole logical batch this job is a chunk of; drives
-    /// the memo policy uniformly across all chunks (see [`execute_batch`]).
+    /// the memo policy uniformly across all chunks (see
+    /// [`execute_batch_observed`]).
     batch_len: usize,
     chunk: usize,
     reply: mpsc::Sender<(usize, Vec<f64>)>,
@@ -975,24 +976,22 @@ impl Service {
 
     /// Estimates one query in **bound mode**: the point estimate paired
     /// with a guaranteed upper bound on the true cardinality (see
-    /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs through the
-    /// batch executor on the calling thread, admission-controlled like an
-    /// estimate — it reserves one query of queue budget and sheds with
-    /// [`ServiceError::Overloaded`] when the service is saturated.
+    /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs on the
+    /// calling thread through the snapshot's compiled-query cache,
+    /// admission-controlled like an estimate — it reserves one query of
+    /// queue budget and sheds with [`ServiceError::Overloaded`] when the
+    /// service is saturated.
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
         let queue = self.admit_inline(1)?;
         let started = Instant::now();
-        let bounded = execute_batch_bound(&snapshot, std::slice::from_ref(&plan), 1);
+        let bounded = snapshot.estimate_plan_bound(&plan);
         if let Some(obs) = &self.obs {
             obs.record(Stage::Estimate, started.elapsed());
         }
         self.shared.release(queue, 1);
-        Ok(bounded
-            .into_iter()
-            .next()
-            .expect("one plan in, one bounded estimate out"))
+        Ok(bounded)
     }
 
     /// Folds one applied feedback observation into the global q-error
@@ -1287,11 +1286,21 @@ mod tests {
     use xseed_core::{XseedConfig, XseedSynopsis};
 
     fn fig2_service(workers: usize) -> Service {
+        fig2_service_with(ServiceConfig::with_workers(workers))
+    }
+
+    /// A catalog holding the Figure 4 document as `fig4`, retained under
+    /// an error-mass maintenance bound.
+    fn fig4_catalog(bound: f64) -> Arc<Catalog> {
         let catalog = Arc::new(Catalog::new());
+        let doc = Arc::new(xmlkit::samples::figure4_document());
+        catalog.insert_retained(
+            "fig4",
+            XseedSynopsis::build(&doc, XseedConfig::default()),
+            doc,
+            crate::catalog::MaintenancePolicy::ErrorMassBound(bound),
+        );
         catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
-        Service::new(catalog, ServiceConfig::with_workers(workers))
     }
 
     #[test]
@@ -1369,15 +1378,17 @@ mod tests {
     #[test]
     fn estimate_bound_through_service() {
         let service = fig2_service(2);
-        for q in ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*"] {
+        for q in ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*", "/a/zzz"] {
             let point = service.estimate("fig2", q).unwrap();
             let be = service.estimate_bound("fig2", q).unwrap();
             assert!((be.estimate - point).abs() < 1e-9, "{q}");
             assert!(be.bound >= be.estimate, "{q}");
         }
         // //* bounds exactly at the document size (per-label totals are
-        // exact); unknown documents still error.
+        // exact), the bound of an absent label is exactly zero, and
+        // unknown documents still error.
         assert_eq!(service.estimate_bound("fig2", "//*").unwrap().bound, 36.0);
+        assert_eq!(service.estimate_bound("fig2", "/a/zzz").unwrap().bound, 0.0);
         assert!(matches!(
             service.estimate_bound("nope", "/a"),
             Err(ServiceError::UnknownDocument(_))
@@ -1386,9 +1397,11 @@ mod tests {
 
     fn fig2_service_with(config: ServiceConfig) -> Service {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Service::new(catalog, config)
     }
 
@@ -1474,16 +1487,7 @@ mod tests {
 
     #[test]
     fn feedback_applies_and_triggers_auto_rebuild() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
-        let catalog = Arc::new(Catalog::new());
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
-            MaintenancePolicy::ErrorMassBound(1.0),
-        );
+        let catalog = fig4_catalog(1.0);
         let service = Service::new(catalog, ServiceConfig::with_workers(2));
 
         let before = service.estimate("fig4", "/a/b/d/e").unwrap();
@@ -1522,16 +1526,7 @@ mod tests {
 
     #[test]
     fn feedback_batch_counts_and_publishes_once() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
-        let catalog = Arc::new(Catalog::new());
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
-            MaintenancePolicy::ErrorMassBound(1.0),
-        );
+        let catalog = fig4_catalog(1.0);
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));
         let batch = service
             .feedback_batch(
@@ -1590,16 +1585,7 @@ mod tests {
 
     #[test]
     fn pause_maintenance_defers_rebuilds_until_released() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
-        let catalog = Arc::new(Catalog::new());
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
-            MaintenancePolicy::ErrorMassBound(0.5),
-        );
+        let catalog = fig4_catalog(0.5);
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));
         let pause = service.pause_maintenance();
         pause.wait_until_paused();
@@ -1626,16 +1612,7 @@ mod tests {
 
     #[test]
     fn rebuild_ticket_reports_missing_retention() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
-        let catalog = Arc::new(Catalog::new());
-        let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
-            "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
-            MaintenancePolicy::ErrorMassBound(0.5),
-        );
+        let catalog = fig4_catalog(0.5);
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));
         let pause = service.pause_maintenance();
         pause.wait_until_paused();

@@ -26,7 +26,10 @@ fn scenario(dataset: Dataset, scale: f64) -> (XseedSynopsis, Vec<PathExpr>) {
     let synopsis = XseedSynopsis::build(&doc, config);
     let workload = WorkloadGenerator::new(&doc, 0xC0FFEE).generate(&WorkloadSpec::small());
     let queries: Vec<PathExpr> = workload.all().cloned().collect();
-    assert!(!queries.is_empty());
+    assert!(
+        queries.len() > 1,
+        "the memoized batch path needs a real batch"
+    );
     (synopsis, queries)
 }
 
@@ -52,10 +55,11 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
                 let snapshot = snapshot.clone();
                 let queries = queries.clone();
                 scope.spawn(move || {
-                    // Half the threads use the shared-memo batch path, half
-                    // the cold streaming path — both must agree bit-exactly.
+                    // Half the threads use the shared-memo batch path (a
+                    // batch of more than one query), half the cold
+                    // streaming path — both must agree bit-exactly.
                     let mut matcher = if i % 2 == 0 {
-                        snapshot.batch_matcher()
+                        snapshot.matcher_for_batch(queries.len())
                     } else {
                         snapshot.matcher()
                     };

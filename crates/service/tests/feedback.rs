@@ -8,16 +8,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xpathkit::parse;
 use xseed_core::{FeedbackOutcome, XseedConfig, XseedSynopsis};
-use xseed_service::{Catalog, MaintenancePolicy, RetentionPolicy, Service, ServiceConfig};
+use xseed_service::{Catalog, MaintenancePolicy, Service, ServiceConfig};
 
 fn fig4_service(bound: f64, workers: usize) -> (Arc<Catalog>, Service) {
     let catalog = Arc::new(Catalog::new());
-    let doc = xmlkit::samples::figure4_document();
-    catalog.load_document_with(
+    let doc = Arc::new(xmlkit::samples::figure4_document());
+    catalog.insert_retained(
         "fig4",
-        &doc,
-        XseedConfig::default(),
-        RetentionPolicy::Retain,
+        XseedSynopsis::build(&doc, XseedConfig::default()),
+        doc,
         MaintenancePolicy::ErrorMassBound(bound),
     );
     let service = Service::new(catalog.clone(), ServiceConfig::with_workers(workers));

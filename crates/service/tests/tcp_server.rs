@@ -14,13 +14,14 @@ use xseed_service::{Catalog, ServerConfig, Service, ServiceConfig, TcpServer};
 /// blocks in `accept` for the life of the test process).
 fn spawn_server(config: ServerConfig) -> std::net::SocketAddr {
     let catalog = Arc::new(Catalog::new());
-    catalog
-        .load_xml(
-            "fig2",
+    catalog.insert(
+        "fig2",
+        xseed_core::XseedSynopsis::build_from_xml(
             xmlkit::samples::FIGURE2_XML,
             xseed_core::XseedConfig::default(),
         )
-        .unwrap();
+        .unwrap(),
+    );
     let service = Arc::new(Service::new(catalog, ServiceConfig::with_workers(2)));
     let server = TcpServer::bind("127.0.0.1:0", config).expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();

@@ -13,13 +13,13 @@ fn main() {
     // A catalog holds many named synopses; load two builtin datasets.
     let catalog = Arc::new(Catalog::new());
     let xmark = Dataset::XMark10.generate_scaled(0.1);
-    catalog.load_document("xmark", &xmark, XseedConfig::default());
-    let treebank = Dataset::TreebankSmall.generate_scaled(0.1);
-    catalog.load_document(
-        "treebank",
-        &treebank,
-        XseedConfig::recursive_for_size(treebank.element_count()),
+    catalog.insert(
+        "xmark",
+        XseedSynopsis::build(&xmark, XseedConfig::default()),
     );
+    let treebank = Dataset::TreebankSmall.generate_scaled(0.1);
+    let config = XseedConfig::recursive_for_size(treebank.element_count());
+    catalog.insert("treebank", XseedSynopsis::build(&treebank, config));
 
     // A service with 4 workers, each with its own request queue (idle
     // workers steal from busy siblings).

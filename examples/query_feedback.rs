@@ -12,12 +12,12 @@
 
 use std::sync::Arc;
 use xseed::prelude::*;
-use xseed_service::{Catalog, MaintenancePolicy, RetentionPolicy, Service, ServiceConfig};
+use xseed_service::{Catalog, MaintenancePolicy, Service, ServiceConfig};
 
 fn main() {
     // The Figure 4 style document: strong parent/sibling correlations that
     // the bare kernel cannot capture.
-    let doc = xmlkit::samples::figure4_document();
+    let doc = Arc::new(xmlkit::samples::figure4_document());
     let storage = NokStorage::from_document(&doc);
     let evaluator = Evaluator::new(&storage);
     let mut synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
@@ -78,11 +78,10 @@ fn main() {
     // triggered rebuild repairs every simple path at once.
     println!("\nSelf-maintaining service: retain + error-mass policy");
     let catalog = Arc::new(Catalog::new());
-    catalog.load_document_with(
+    catalog.insert_retained(
         "fig4",
-        &doc,
-        XseedConfig::default(),
-        RetentionPolicy::Retain,
+        XseedSynopsis::build(&doc, XseedConfig::default()),
+        doc.clone(),
         MaintenancePolicy::ErrorMassBound(10.0),
     );
     let service = Service::new(catalog, ServiceConfig::with_workers(2));
