@@ -709,19 +709,20 @@ impl<'a> StreamingMatcher<'a> {
 
     /// [`StreamingMatcher::estimate_bound`] over a cached [`QueryPlan`],
     /// sharing the compiled form with the point path when a
-    /// [`CompiledPlanCache`] is installed.
+    /// [`CompiledPlanCache`] is installed: one cache lookup serves both
+    /// halves, so a bound request counts once in the cache's counters.
+    /// The point half keeps [`StreamingMatcher::estimate_plan`]'s HET
+    /// fast path.
     pub fn estimate_plan_bound(&mut self, plan: &QueryPlan) -> BoundedEstimate {
-        let estimate = self.estimate_plan(plan);
-        let raw = match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || self.compile(plan.expr()));
-                self.compute_bound(&compiled)
-            }
-            None => {
-                let query = self.compile(plan.expr());
-                self.compute_bound(&query)
-            }
+        let compiled = match self.compiled_cache.clone() {
+            Some(cache) => cache.get_or_compile(plan.id(), || self.compile(plan.expr())),
+            None => Arc::new(self.compile(plan.expr())),
         };
+        let estimate = match self.answer_without_traversal(plan.expr()) {
+            Some((answer, _)) => answer,
+            None => self.run_compiled(&compiled).0,
+        };
+        let raw = self.compute_bound(&compiled);
         BoundedEstimate {
             estimate,
             bound: (raw as f64).max(estimate),

@@ -1095,6 +1095,35 @@ mod tests {
     }
 
     #[test]
+    fn plan_bound_looks_up_the_compiled_plan_once() {
+        let doc = figure2_document();
+        let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
+        let snap = synopsis.snapshot();
+        let plan = xpathkit::QueryPlan::parse("//s//p").unwrap();
+        let expected = snap.estimate_bound(plan.expr());
+        for _ in 0..2 {
+            let got = snap.estimate_plan_bound(&plan);
+            assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits());
+            assert_eq!(got.bound.to_bits(), expected.bound.to_bits());
+        }
+        // One lookup per bound estimate — a miss, then a hit — which is
+        // what two point estimates of the same plan count.
+        let stats = snap.compiled_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+
+        // A simple path resident in the HET keeps the point half's fast
+        // path: the answer is the exact count, as in the expression path.
+        let (with_het, _) = XseedSynopsis::build_with_het(&figure4_document(), Default::default());
+        let snap = with_het.snapshot();
+        let plan = xpathkit::QueryPlan::parse("/a/b/d/e").unwrap();
+        let expected = snap.estimate_bound(plan.expr());
+        let got = snap.estimate_plan_bound(&plan);
+        assert_eq!(got.estimate, 20.0);
+        assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits());
+        assert_eq!(got.bound.to_bits(), expected.bound.to_bits());
+    }
+
+    #[test]
     fn synopsis_estimate_batch_matches_estimate() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());

@@ -22,10 +22,11 @@
 //! * [`batch`] — the batch executor: one snapshot pass per batch via the
 //!   snapshot's shared frontier memo (the traveler's expansion recorded
 //!   once per epoch, replayed per query).
-//! * [`service`] — the [`Service`] front end: a worker thread pool with
-//!   per-worker **bounded** request queues, admission control that sheds
-//!   excess load with [`ServiceError::Overloaded`], and work stealing,
-//!   dispatching single estimates and batches over catalog snapshots.
+//! * [`service`] — the [`Service`] front end: admission control that
+//!   sheds excess load with [`ServiceError::Overloaded`], and a worker
+//!   thread pool with per-worker **bounded** request queues and work
+//!   stealing that runs batches (and [`Service::submit`]) over catalog
+//!   snapshots. A single blocking estimate runs on the calling thread.
 //! * [`protocol`] — the line protocol (`LOAD` / `EST` / `BATCH` / `STATS`)
 //!   spoken by the `xseed-serve` binary, including the structured
 //!   `OVERLOADED` shed reply (full reference: `docs/PROTOCOL.md`).
@@ -80,10 +81,12 @@
 //! epoch while in-flight jobs finish on the epoch they started with. The
 //! queue budget is reserved before anything is enqueued — excess load
 //! degrades into an immediate structured `OVERLOADED` reply rather than
-//! an unbounded queue. On the hot path, a plan-cache hit also hits the
-//! snapshot's compiled-query cache, skipping label resolution; epoch
-//! bumps invalidate it for free because a new snapshot starts with a new
-//! cache.
+//! an unbounded queue. A single `EST` (point or bound) reserves budget
+//! the same way but never enters a queue: its caller waits for the
+//! answer anyway, so it runs on the calling thread. On the hot path, a
+//! plan-cache hit also hits the snapshot's compiled-query cache,
+//! skipping label resolution; epoch bumps invalidate it for free because
+//! a new snapshot starts with a new cache.
 //!
 //! ## Quick example
 //!

@@ -60,7 +60,9 @@ pub enum Stage {
     /// Compiling a plan into the snapshot's compiled-query cache
     /// (compiled-cache miss path).
     Compile,
-    /// One estimate executed by a worker (per query, batched or not).
+    /// One query's estimate, batched or not: on a worker for queued jobs
+    /// (`BATCH` chunks, [`crate::Service::submit`]), on the calling
+    /// thread for a single `EST`.
     Estimate,
     /// One whole batch chunk executed by a worker (multi-query jobs only).
     BatchChunk,

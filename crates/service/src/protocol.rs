@@ -1324,6 +1324,25 @@ mod tests {
     }
 
     #[test]
+    fn bound_estimates_count_as_executed_work() {
+        let service = service();
+        assert_eq!(
+            reply(&service, "EST fig2 mode=bound /a/c/s"),
+            "OK est=5 bound=5"
+        );
+        // Admitted, executed and released: in-flight work
+        // (accepted − executed) reads zero.
+        let stats = reply(&service, "STATS");
+        assert!(stats.contains(" executed=1 batches=1 "), "{stats}");
+        assert!(stats.contains(" accepted=1 shed=0 queued=0 "), "{stats}");
+        let json = reply(&service, "STATS json");
+        assert!(json.contains("\"executed\":1,\"batches\":1,"), "{json}");
+        let metrics = reply(&service, "METRICS");
+        assert!(metrics.contains("\nxseed_executed_total 1\n"), "{metrics}");
+        assert!(metrics.contains("\nxseed_batches_total 1\n"), "{metrics}");
+    }
+
+    #[test]
     fn stats_json_mirrors_flat_counters() {
         let service = service();
         let _ = reply(&service, "EST fig2 //p");

@@ -7,9 +7,10 @@
 //! [`netpoll`] crate — hand-rolled, no external deps) multiplexing every
 //! connection over nonblocking sockets, so ten thousand mostly-idle
 //! optimizer sessions cost ten thousand small buffers, not ten thousand
-//! threads. Estimation work still fans out across the [`Service`] worker
-//! pool; the loop thread only parses lines, dispatches them, and shuttles
-//! bytes.
+//! threads. The loop thread reads lines, runs each through the protocol
+//! handler synchronously, and shuttles bytes: a single `EST` is estimated
+//! on the loop thread itself, and only a `BATCH` fans its chunks out
+//! across the [`Service`] worker pool (the loop waits for them).
 //!
 //! Per connection the loop keeps a read buffer and a write buffer, which
 //! buys the semantics a blocking thread-per-connection design gets for
@@ -164,9 +165,11 @@ impl TcpServer {
     }
 
     /// Runs the event loop forever, serving every connection multiplexed
-    /// over one poller (estimation itself runs on `service`'s worker
-    /// pool). Returns only if the poller or listener fails fatally at
-    /// setup; accept-time errors are reported on stderr and survived.
+    /// over one poller. Requests run synchronously on the loop thread: a
+    /// single `EST` is estimated there, a `BATCH` waits for its chunks on
+    /// `service`'s worker pool. Returns only if the poller or listener
+    /// fails fatally at setup; accept-time errors are reported on stderr
+    /// and survived.
     pub fn run(&self, service: Arc<Service>) -> std::io::Result<()> {
         EventLoop::new(&self.listener, self.config.clone(), service)?.run()
     }

@@ -17,7 +17,14 @@
 //! Batches are split into per-worker chunks ([`Service::estimate_batch`]),
 //! each executed as one snapshot pass over the shared frontier memo (see
 //! [`crate::batch`]); the memo is built once per snapshot epoch and shared
-//! by all workers.
+//! by all workers. [`Service::submit`] / [`Service::submit_pinned`] queue
+//! a single query and return without waiting.
+//!
+//! A single estimate whose caller waits for it ([`Service::estimate`],
+//! [`Service::estimate_bound`]) does **not** queue: handing it to a worker
+//! would add a queue push, two condvar wake-ups and a reply channel while
+//! the caller sat idle. It runs on the calling thread instead, under the
+//! same admission budget and counters as a one-query job.
 //!
 //! ## Backpressure and admission control
 //!
@@ -611,11 +618,16 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Per-worker queue budget, in queries.
     pub queue_capacity: usize,
-    /// Estimates executed per worker (index = worker id).
+    /// Estimates executed per queue slot (index = worker id). Queued work
+    /// counts in the slot of the worker that ran it; a single estimate run
+    /// on the calling thread ([`Service::estimate`],
+    /// [`Service::estimate_bound`]) counts in the slot of the queue whose
+    /// budget it reserved.
     pub executed: Vec<u64>,
     /// Jobs a worker took from a sibling's queue.
     pub steals: u64,
-    /// Jobs executed in total (single estimates count as 1-query batches).
+    /// Jobs executed in total (single estimates, inline or queued, count
+    /// as 1-query batches).
     pub batches: u64,
     /// Queries admitted by admission control since startup.
     pub accepted: u64,
@@ -705,7 +717,7 @@ impl Service {
         let workers = config.workers.max(1);
         // Shard the histograms for the threads that record concurrently:
         // the workers plus the submitter-side stages (parse, plan lookup,
-        // feedback) and the maintenance thread.
+        // single estimates, feedback) and the maintenance thread.
         let obs = config
             .observability
             .then(|| Arc::new(Obs::new(workers + 2)));
@@ -969,29 +981,56 @@ impl Service {
         }
     }
 
-    /// Estimates one query, blocking until a worker answers.
+    /// Estimates one query **on the calling thread**: the caller blocks
+    /// for the answer anyway, so the estimate skips the worker queues
+    /// and runs exactly what a worker runs for a one-plan job. It is
+    /// admission-controlled like queued work — it reserves one query of
+    /// queue budget for its duration and sheds with
+    /// [`ServiceError::Overloaded`] when the service is saturated — and
+    /// counts in [`ServiceStats::executed`] and [`ServiceStats::batches`].
+    /// Callers that want the worker pool to cap the CPU spent on
+    /// estimation use [`Service::submit`] instead.
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
-        self.submit(doc, query)?.wait()
+        self.run_inline(doc, query, |snapshot, plan| {
+            execute_batch_observed(snapshot, std::slice::from_ref(plan), 1, &self.obs)[0]
+        })
     }
 
     /// Estimates one query in **bound mode**: the point estimate paired
     /// with a guaranteed upper bound on the true cardinality (see
     /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs on the
-    /// calling thread through the snapshot's compiled-query cache,
-    /// admission-controlled like an estimate — it reserves one query of
-    /// queue budget and sheds with [`ServiceError::Overloaded`] when the
-    /// service is saturated.
+    /// calling thread through the snapshot's compiled-query cache, with
+    /// the same admission control and counters as [`Service::estimate`].
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
+        self.run_inline(doc, query, |snapshot, plan| {
+            let started = Instant::now();
+            let bounded = snapshot.estimate_plan_bound(plan);
+            if let Some(obs) = &self.obs {
+                obs.record(Stage::Estimate, started.elapsed());
+            }
+            bounded
+        })
+    }
+
+    /// Runs one single-query estimate on the calling thread: resolves the
+    /// snapshot and plan, reserves one query of budget, runs `estimate`,
+    /// then counts it as one executed query and one job in the reserved
+    /// queue's slot — what a worker counts for a one-plan job — and
+    /// releases the reservation.
+    fn run_inline<T>(
+        &self,
+        doc: &str,
+        query: &str,
+        estimate: impl FnOnce(&SynopsisSnapshot, &Arc<QueryPlan>) -> T,
+    ) -> Result<T, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
         let queue = self.admit_inline(1)?;
-        let started = Instant::now();
-        let bounded = snapshot.estimate_plan_bound(&plan);
-        if let Some(obs) = &self.obs {
-            obs.record(Stage::Estimate, started.elapsed());
-        }
+        let result = estimate(&snapshot, &plan);
+        self.shared.executed[queue].fetch_add(1, Ordering::Relaxed);
+        self.shared.batches.fetch_add(1, Ordering::Relaxed);
         self.shared.release(queue, 1);
-        Ok(bounded)
+        Ok(result)
     }
 
     /// Folds one applied feedback observation into the global q-error
@@ -1016,8 +1055,8 @@ impl Service {
     }
 
     /// Reserves `cost` queries of admission budget for work that runs on
-    /// the calling thread (feedback): the same backpressure that guards
-    /// the estimate path, so a flooding feedback client sheds with
+    /// the calling thread (single estimates and feedback): the same
+    /// backpressure that guards the queues, so a flooding client sheds with
     /// [`ServiceError::Overloaded`] instead of consuming unbounded CPU.
     /// Returns the queue whose budget was reserved; the caller must
     /// release it.
@@ -1572,15 +1611,69 @@ mod tests {
             service.feedback_batch("fig2", &[("/a/c/s", 5, None)]),
             Err(ServiceError::Overloaded { .. })
         ));
+        // Single estimates run on the calling thread but take budget too.
+        assert!(matches!(
+            service.estimate("fig2", "/a/c/s"),
+            Err(ServiceError::Overloaded { .. })
+        ));
+        assert!(matches!(
+            service.estimate_bound("fig2", "/a/c/s"),
+            Err(ServiceError::Overloaded { .. })
+        ));
         let shed_before = service.stats().shed;
-        assert_eq!(shed_before, 2);
+        assert_eq!(shed_before, 4);
         pause.resume();
         _a.wait().unwrap();
         _b.wait().unwrap();
-        // Budget drained: feedback admits and releases its reservation.
+        // Budget drained: feedback and single estimates admit and release
+        // their reservations.
         let fb = service.feedback("fig2", "/a/c/s", 5, None).unwrap();
         assert_eq!(fb.report.outcome, xseed_core::FeedbackOutcome::SimplePath);
-        assert_eq!(service.stats().queued, 0, "feedback releases its budget");
+        assert!((service.estimate("fig2", "/a/c/s").unwrap() - 5.0).abs() < 1e-9);
+        assert_eq!(service.estimate_bound("fig2", "/a/c/s").unwrap().bound, 5.0);
+        assert_eq!(service.stats().queued, 0, "inline work releases its budget");
+    }
+
+    #[test]
+    fn single_estimates_never_wait_for_a_worker() {
+        const QUERY: &str = "/a/c/s[t]/p";
+        let unfenced = fig2_service(2);
+        let expected = (
+            unfenced.estimate("fig2", QUERY).unwrap(),
+            unfenced.estimate_bound("fig2", QUERY).unwrap(),
+        );
+
+        let service = Arc::new(fig2_service(2));
+        let pauses: Vec<WorkerPause> = (0..2).map(|q| service.pause_worker(q)).collect();
+        for pause in &pauses {
+            pause.wait_until_paused();
+        }
+        let before = service.stats();
+        // A helper thread makes the calls, so a single estimate that did
+        // wait on a fenced worker fails the timeout below instead of
+        // hanging the test.
+        let (tx, rx) = mpsc::channel();
+        let helper = {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let point = service.estimate("fig2", QUERY).unwrap();
+                let bounded = service.estimate_bound("fig2", QUERY).unwrap();
+                let _ = tx.send((point, bounded));
+            })
+        };
+        let (point, bounded) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("single estimates must not wait for a worker");
+        helper.join().unwrap();
+        assert_eq!(point.to_bits(), expected.0.to_bits());
+        assert_eq!(bounded, expected.1);
+
+        let after = service.stats();
+        assert_eq!(after.accepted - before.accepted, 2);
+        assert_eq!(after.total_executed() - before.total_executed(), 2);
+        assert_eq!(after.batches - before.batches, 2);
+        assert_eq!(after.queued, 0);
+        drop(pauses);
     }
 
     #[test]
