@@ -153,7 +153,7 @@ fn service_pass(service: &Service, doc: &str, texts: &[String]) -> usize {
 /// compiled-cache-**off** shape (what the batch executor did before the
 /// per-snapshot compiled cache existed).
 fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
-    let mut matcher = snapshot.matcher_for_batch(exprs.len());
+    let mut matcher = snapshot.matcher();
     let mut sink = 0.0;
     for expr in exprs {
         sink += matcher.estimate(expr);
@@ -165,7 +165,7 @@ fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
 /// Batched pass through `estimate_plan` — the compiled-cache-**on** shape:
 /// after the warm-up pass every estimate is a compiled-cache hit.
 fn compiled_on_pass(snapshot: &SynopsisSnapshot, plans: &[Arc<QueryPlan>]) -> usize {
-    let mut matcher = snapshot.matcher_for_batch(plans.len());
+    let mut matcher = snapshot.matcher();
     let mut sink = 0.0;
     for plan in plans {
         sink += matcher.estimate_plan(plan);

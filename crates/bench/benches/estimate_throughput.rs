@@ -10,7 +10,8 @@
 //!
 //! Set `ESTIMATE_SMOKE=1` to run a single pass per measurement and skip
 //! the JSON write (the CI smoke mode keeping every measured path —
-//! regenerating, streaming, batched, memoized — compiling and exercised).
+//! regenerating, one-shot, batched materialized, batched memo replay —
+//! compiling and exercised).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
@@ -88,10 +89,9 @@ fn time_per_estimate(queries: &[PathExpr], mut f: impl FnMut(&PathExpr) -> f64) 
     start.elapsed().as_nanos() as f64 / (rounds as f64 * queries.len() as f64)
 }
 
-#[allow(clippy::type_complexity)]
-fn write_baseline(results: &[(String, usize, f64, f64, f64, f64, f64)]) {
+fn write_baseline(results: &[(String, usize, f64, f64, f64, f64)]) {
     let mut body = String::from("{\n  \"bench\": \"estimate_throughput\",\n  \"datasets\": {\n");
-    for (i, (name, queries, regen, streaming, batched_mat, batched_stream, batched_memo)) in
+    for (i, (name, queries, regen, streaming, batched_mat, batched_memo)) in
         results.iter().enumerate()
     {
         body.push_str(&format!(
@@ -99,14 +99,12 @@ fn write_baseline(results: &[(String, usize, f64, f64, f64, f64, f64)]) {
              \"one_shot_regenerate_per_query\": {},\n      \
              \"one_shot_streaming\": {},\n      \
              \"batched_materialized\": {},\n      \
-             \"batched_streaming\": {},\n      \
              \"batched_streaming_memo\": {},\n      \
              \"speedup_one_shot\": {:.2},\n      \
              \"memo_vs_materialized\": {:.2}\n    }}{}\n",
             json_throughput_entry(*regen),
             json_throughput_entry(*streaming),
             json_throughput_entry(*batched_mat),
-            json_throughput_entry(*batched_stream),
             json_throughput_entry(*batched_memo),
             regen / streaming,
             batched_mat / batched_memo,
@@ -157,18 +155,13 @@ fn throughput_benches(c: &mut Criterion) {
             let estimator = s.estimator();
             time_per_estimate(qs, |q| estimator.estimate(q))
         };
-        let batched_stream = {
-            let mut matcher = s.streaming_matcher();
-            time_per_estimate(qs, |q| matcher.estimate(q))
-        };
         let batched_memo = {
             let mut matcher = s.streaming_matcher();
-            matcher.enable_batch_memo();
             time_per_estimate(qs, |q| matcher.estimate(q))
         };
         println!(
             "{}: {} queries | regen {:.0} ns | streaming {:.0} ns ({:.1}x) | \
-             batched materialized {:.0} ns | batched streaming {:.0} ns | \
+             batched materialized {:.0} ns | \
              batched streaming+memo {:.0} ns ({:.2}x vs materialized)",
             scenario.name,
             qs.len(),
@@ -176,7 +169,6 @@ fn throughput_benches(c: &mut Criterion) {
             streaming,
             regen / streaming,
             batched_mat,
-            batched_stream,
             batched_memo,
             batched_mat / batched_memo,
         );
@@ -186,7 +178,6 @@ fn throughput_benches(c: &mut Criterion) {
             regen,
             streaming,
             batched_mat,
-            batched_stream,
             batched_memo,
         ));
     }

@@ -30,9 +30,10 @@ pub struct XseedConfig {
     /// would exceed this many nodes, the *effective* threshold is
     /// escalated (to 1, then doubled) until the expansion fits. The
     /// escalation is a pure function of the synopsis snapshot, config,
-    /// and HET, so the traveler, the streaming matcher, and the frontier
-    /// memo always prune at the same frontier — no consumer ever stops
-    /// mid-walk.
+    /// and HET, so the traveler (the materialized oracle) and the
+    /// frontier memo every estimate replays always prune at the same
+    /// frontier — neither ever stops mid-walk. It also bounds a
+    /// snapshot's memo to this many nodes.
     pub max_ept_nodes: usize,
     /// Capacity (in compiled queries) of the per-snapshot compiled-query
     /// cache serving [`crate::estimate::StreamingMatcher::estimate_plan`].
@@ -112,9 +113,10 @@ impl XseedConfig {
 /// One step of the adaptive cardinality-threshold escalation used to keep
 /// expansions within [`XseedConfig::max_ept_nodes`]: thresholds below 1
 /// jump to 1 (pruning every cardinality-0 path, which is what keeps even
-/// cyclic kernels finite), then double. Every expansion consumer shares
-/// this rule, so for a fixed synopsis + config + HET they all settle on
-/// the same effective threshold and therefore the same frontier.
+/// cyclic kernels finite), then double. Both expansion walkers — the
+/// frontier memo's build and the traveler oracle — share this rule, so
+/// for a fixed synopsis + config + HET they settle on the same effective
+/// threshold and therefore the same frontier.
 pub(crate) fn escalate_card_threshold(threshold: f64) -> f64 {
     if threshold < 1.0 {
         1.0

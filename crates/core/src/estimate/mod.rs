@@ -11,11 +11,13 @@
 //! * [`matcher`] — Algorithm 3: matches a query tree against the EPT and
 //!   sums the estimated cardinalities of the result-node matches,
 //!   multiplying in aggregated backward selectivities for predicates.
-//! * [`streaming`] — the fused hot path: Algorithm 3 run directly on the
-//!   event stream over a [`crate::kernel::FrozenKernel`] snapshot, with no
-//!   EPT arena and reachability-based subtree pruning. This is what
-//!   [`crate::synopsis::XseedSynopsis::estimate`] uses; the materialized
-//!   [`matcher`] remains the differential-testing oracle.
+//! * [`streaming`] — the production path: Algorithm 2 walked once per
+//!   [`crate::kernel::FrozenKernel`] snapshot into a [`FrontierMemo`],
+//!   and Algorithm 3 run by replaying that memo per query, with no EPT
+//!   arena and reachability-based subtree pruning. This is what
+//!   [`crate::synopsis::XseedSynopsis::estimate`] uses; the traveler,
+//!   the materialized EPT, and its [`matcher`] remain the
+//!   differential-testing oracle.
 
 pub mod ept;
 pub mod event;

@@ -1,23 +1,34 @@
-//! The streaming matcher: Algorithm 3 fused with Algorithm 2.
+//! The streaming matcher: Algorithm 3 run over a recorded Algorithm 2
+//! expansion.
 //!
 //! [`crate::estimate::matcher::Matcher`] materializes the whole expanded
 //! path tree (EPT) into an arena and then tree-walks it with per-node state
-//! vectors. This module runs the same match **directly on the traveler's
-//! event stream** over a [`FrozenKernel`] snapshot: frontier states advance
-//! on `Open`, unwind on `Close`, and `estimate()` never allocates an EPT
-//! arena at all.
+//! vectors. This module splits the work in two. [`FrontierMemo`] walks
+//! the expansion once per [`FrozenKernel`] snapshot and records it;
+//! [`StreamingMatcher`] then matches each query by **replaying that
+//! record as an open/close stream**: frontier states advance on open,
+//! unwind on close, and no estimate allocates an EPT arena.
 //!
-//! ## The event-stream matching loop
+//! ## The expansion walk
 //!
-//! The traversal is the traveler's depth-first walk (same child order, same
-//! effective-`card_threshold` / Observation-1 stopping rules — including
-//! the [`max_ept_nodes`](XseedConfig::max_ept_nodes) threshold escalation —
-//! same per-path HET overrides), inlined over the frozen CSR arrays. Each open
-//! frame carries the footprint of its synopsis path (card / fsel / bsel /
-//! recursion level / path hash) plus the frontier states its children
-//! inherit — exactly the `(spine index, accumulated predicate factor)`
-//! pairs the materialized matcher clones per child, but stored once in a
-//! stack-disciplined scratch buffer and freed by truncation on `Close`.
+//! [`FrontierMemo::build`] is the one production walker of Algorithm 2:
+//! the traveler's depth-first walk (same child order, same
+//! effective-`card_threshold` / Observation-1 stopping rules, same
+//! per-path HET overrides), inlined over the frozen CSR arrays with a
+//! flat-array recursion tracker. It records every opened position in
+//! pre-order with its footprint (card / fsel / bsel / path hash) and
+//! subtree extent. A walk that records more than
+//! [`max_ept_nodes`](XseedConfig::max_ept_nodes) positions stops and
+//! restarts at the escalated threshold, so one pass both settles the
+//! effective threshold and records the memo.
+//!
+//! ## The matching loop
+//!
+//! Each open frame carries the footprint of its synopsis path plus the
+//! frontier states its children inherit — exactly the
+//! `(spine index, accumulated predicate factor)` pairs the materialized
+//! matcher clones per child, but stored once in a stack-disciplined
+//! scratch buffer and freed by truncation on close.
 //!
 //! Two ideas make a *single pass* sufficient where the materialized matcher
 //! looks ahead into the arena:
@@ -44,19 +55,17 @@
 //!
 //! ## Pruning with reachable-label bitsets
 //!
-//! Before opening a child vertex `v`, the matcher checks whether any
-//! frontier state could still complete inside `v`'s subtree: state `i`
-//! needs every named label of spine steps `i..` to occur at or below `v`
-//! ([`FrozenKernel::reaches_all`]). If no state passes — and no predicate
-//! evaluation is pending, which would need the full subtree — the subtree
-//! is skipped wholesale. Skipping never changes the estimate (the skipped
-//! region cannot produce a result match), but it does mean the node count
-//! reported by [`StreamingMatcher::estimate_with_stats`] is the number of
-//! nodes *visited*, a lower bound on the materialized EPT size. The
-//! expansion being pruned is always the full one under the snapshot's
-//! effective cardinality threshold — never a walk cut short mid-stride —
-//! so the streaming, memoized, and materialized paths share one frontier
-//! on every synopsis, degenerate ones included.
+//! Before opening a recorded child position at vertex `v`, the matcher
+//! checks whether any frontier state could still complete inside `v`'s
+//! subtree: state `i` needs every named label of spine steps `i..` to
+//! occur at or below `v` ([`FrozenKernel::reaches_all`]). If no state
+//! passes — and no predicate evaluation is pending, which would need the
+//! full subtree — the replay jumps over the child's recorded extent in
+//! O(1). Skipping never changes the estimate (the skipped region cannot
+//! produce a result match), but it does mean the node count reported by
+//! [`StreamingMatcher::estimate_with_stats`] is the number of positions
+//! *visited*, at most the memo size, which equals the materialized EPT
+//! size.
 //!
 //! The snapshot is valid until the kernel is mutated; see
 //! [`crate::synopsis::XseedSynopsis::kernel_mut`] for the invalidation
@@ -217,17 +226,15 @@ struct Contrib {
     cand_len: u32,
 }
 
-/// One open vertex of the streamed traversal.
+/// One open position of the replayed expansion.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     vertex: VertexId,
-    fsel: f64,
     bsel: f64,
-    path_hash: u64,
-    /// Next child cursor of `vertex`: a frozen out-slot in streaming mode,
-    /// a memo index during replay.
-    next_slot: u32,
-    end_slot: u32,
+    /// Memo index of the next child position, and one past the last
+    /// index of this position's subtree.
+    next_child: u32,
+    subtree_end: u32,
     /// Frontier states this frame's children inherit.
     states_start: u32,
     states_end: u32,
@@ -242,19 +249,10 @@ struct Frame {
     tables_active: bool,
 }
 
-/// The candidate footprint of a child vertex, mirroring the traveler's
-/// `EST` computation.
-struct Footprint {
-    vertex: VertexId,
-    card: f64,
-    fsel: f64,
-    bsel: f64,
-    path_hash: u64,
-}
-
-/// One memoized traversal position: the frontier the traveler computed for
-/// a `(vertex, recursion level)` pair along one expansion path, stored in
-/// pre-order with the subtree extent so pruned replays can skip it in O(1).
+/// One memoized traversal position: the footprint the traveler computes
+/// for a `(vertex, recursion level)` pair along one expansion path,
+/// stored in pre-order with the subtree extent so pruned replays can skip
+/// it in O(1).
 #[derive(Debug, Clone, Copy)]
 struct MemoNode {
     vertex: VertexId,
@@ -266,39 +264,25 @@ struct MemoNode {
     subtree_end: u32,
 }
 
-impl MemoNode {
-    #[inline]
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            vertex: self.vertex,
-            card: self.card,
-            fsel: self.fsel,
-            bsel: self.bsel,
-            path_hash: self.path_hash,
-        }
-    }
-}
-
-/// A per-batch memo of the traveler's full expansion: every
+/// The traveler's full expansion of one snapshot: every
 /// `(vertex, recursion level)` position the traversal reaches, with its
-/// computed frontier footprint (card / fsel / bsel / path hash), laid out
-/// in pre-order with subtree extents.
+/// footprint (card / fsel / bsel / path hash), laid out in pre-order with
+/// subtree extents.
 ///
 /// The expansion is *query-independent* (which children open depends only
 /// on the synopsis, the config thresholds, and the HET overrides), so one
-/// memo serves every query estimated against the same snapshot: replaying
-/// a query over the memo skips the recursion-level counter stacks, the
-/// per-slot footprint arithmetic, and the HET path-hash probes that the
-/// cold streaming pass pays per node. Reachability pruning still applies
-/// during replay — a subtree that cannot complete any frontier state is
-/// skipped via its stored extent.
+/// memo serves every query estimated against the same snapshot: every
+/// [`StreamingMatcher`] estimate replays it, and reachability pruning
+/// skips a subtree that cannot complete any frontier state via its stored
+/// extent.
 ///
 /// The memo is valid for exactly one frozen snapshot + config + HET
 /// combination; take a fresh one (or a fresh [`StreamingMatcher`]) after
-/// the kernel epoch changes. The recorded expansion is the full one under
-/// the snapshot's effective cardinality threshold (escalated as needed to
-/// fit [`XseedConfig::max_ept_nodes`]), so it is exactly the frontier the
-/// cold streaming pass and the materialized oracle walk.
+/// the kernel epoch changes. It records the full expansion under the
+/// snapshot's effective cardinality threshold (escalated as needed to fit
+/// [`XseedConfig::max_ept_nodes`]), which is exactly the frontier the
+/// materialized oracle walks, so it never holds more than `max_ept_nodes`
+/// positions (`size_of::<MemoNode>()` bytes each).
 #[derive(Debug, Clone)]
 pub struct FrontierMemo {
     nodes: Vec<MemoNode>,
@@ -309,18 +293,37 @@ pub struct FrontierMemo {
 }
 
 impl FrontierMemo {
-    /// Builds the memo for a snapshot by running the traveler's expansion
-    /// once (no query matching).
+    /// Builds the memo for a snapshot by walking the traveler's expansion
+    /// under the configured `card_threshold`. A walk that records more
+    /// than `max_ept_nodes` positions is abandoned and restarted at the
+    /// escalated threshold (to 1, then doubled), so the recorded
+    /// expansion is the first one that fits. The loop ends because the
+    /// set of expanded paths shrinks monotonically as the threshold grows
+    /// and the root alone fits any bound.
     pub fn build(
         frozen: &FrozenKernel,
         config: &XseedConfig,
         het: Option<&HyperEdgeTable>,
     ) -> Self {
-        // The expansion never consults the name table, so an empty one is
-        // sufficient for the throwaway matcher driving the build.
-        let names = NameTable::new();
-        let mut matcher = StreamingMatcher::new(frozen, &names, config, het);
-        matcher.build_memo_nodes()
+        let cap = config.max_ept_nodes.max(1);
+        let mut walk = ExpansionWalk {
+            frozen,
+            het,
+            rec_counts: vec![0; frozen.vertex_count()],
+            rec_occ: Vec::new(),
+            rec_max: 0,
+        };
+        let mut nodes = Vec::new();
+        let mut threshold = config.card_threshold;
+        while !walk.record(threshold, cap, &mut nodes) {
+            threshold = escalate_card_threshold(threshold);
+        }
+        nodes.shrink_to_fit();
+        FrontierMemo {
+            nodes,
+            vertex_count: frozen.vertex_count(),
+            slot_count: frozen.slot_count(),
+        }
     }
 
     /// Number of memoized traversal positions (the materialized EPT size).
@@ -353,6 +356,171 @@ impl FrontierMemo {
         }
         totals
     }
+}
+
+/// The state of one [`FrontierMemo::build`] walk: the snapshot it expands
+/// and the recursion tracker (Figure 3 semantics over flat arrays).
+struct ExpansionWalk<'a> {
+    frozen: &'a FrozenKernel,
+    het: Option<&'a HyperEdgeTable>,
+    rec_counts: Vec<u32>,
+    rec_occ: Vec<u32>,
+    rec_max: usize,
+}
+
+impl ExpansionWalk<'_> {
+    /// Walks the expansion under `threshold`, recording every opened
+    /// position into `nodes` (cleared first). Returns `false` as soon as
+    /// a position beyond the `cap`-th would open, leaving `nodes` partial;
+    /// stopping there also bounds walks that would otherwise never end,
+    /// e.g. a negative threshold keeping cardinality-0 cycles open.
+    fn record(&mut self, threshold: f64, cap: usize, nodes: &mut Vec<MemoNode>) -> bool {
+        nodes.clear();
+        self.rec_counts.fill(0);
+        self.rec_occ.clear();
+        self.rec_max = 0;
+        let Some(root) = self.frozen.root() else {
+            return true;
+        };
+
+        let mut stack = vec![self.open(
+            MemoNode {
+                vertex: root,
+                card: 1.0,
+                fsel: 1.0,
+                bsel: 1.0,
+                path_hash: inc_hash(PATH_HASH_SEED, self.frozen.label(root)),
+                subtree_end: 0,
+            },
+            nodes,
+        )];
+        while let Some(top) = stack.last_mut() {
+            if top.next_slot >= top.end_slot {
+                let done = stack.pop().expect("non-empty stack");
+                let end = nodes.len() as u32;
+                let node = &mut nodes[done.node as usize];
+                node.subtree_end = end;
+                self.rec_pop(node.vertex);
+                continue;
+            }
+            let slot = top.next_slot as usize;
+            top.next_slot += 1;
+            let parent = nodes[top.node as usize];
+            let Some(child) = self.child_footprint(&parent, slot, threshold) else {
+                continue;
+            };
+            if nodes.len() >= cap {
+                return false;
+            }
+            stack.push(self.open(child, nodes));
+        }
+        true
+    }
+
+    /// Records `node` as the next position in pre-order and enters its
+    /// vertex in the recursion tracker.
+    fn open(&mut self, node: MemoNode, nodes: &mut Vec<MemoNode>) -> WalkFrame {
+        self.rec_push(node.vertex);
+        let slots = self.frozen.out_slots(node.vertex);
+        nodes.push(node);
+        WalkFrame {
+            node: nodes.len() as u32 - 1,
+            next_slot: slots.start as u32,
+            end_slot: slots.end as u32,
+        }
+    }
+
+    #[inline]
+    fn rec_level(&self) -> usize {
+        self.rec_max.saturating_sub(1)
+    }
+
+    #[inline]
+    fn rec_peek_push(&self, v: VertexId) -> usize {
+        let occurrence = self.rec_counts[v.index()] as usize + 1;
+        occurrence.max(self.rec_max) - 1
+    }
+
+    fn rec_push(&mut self, v: VertexId) {
+        let count = &mut self.rec_counts[v.index()];
+        *count += 1;
+        let c = *count as usize;
+        if self.rec_occ.len() <= c {
+            self.rec_occ.resize(c + 1, 0);
+        }
+        self.rec_occ[c] += 1;
+        if c > self.rec_max {
+            self.rec_max = c;
+        }
+    }
+
+    fn rec_pop(&mut self, v: VertexId) {
+        let count = &mut self.rec_counts[v.index()];
+        let c = *count as usize;
+        *count -= 1;
+        self.rec_occ[c] -= 1;
+        while self.rec_max > 0 && self.rec_occ[self.rec_max] == 0 {
+            self.rec_max -= 1;
+        }
+    }
+
+    /// The traveler's `EST`: the position reached from `parent` through
+    /// `slot`, or `None` when traversal stops there (threshold or
+    /// Observation 1).
+    fn child_footprint(&self, parent: &MemoNode, slot: usize, threshold: f64) -> Option<MemoNode> {
+        let child = self.frozen.slot_target(slot);
+        let old_level = self.rec_level();
+        let new_level = self.rec_peek_push(child);
+        let path_hash = inc_hash(parent.path_hash, self.frozen.label(child));
+
+        let (mut card, mut bsel) = if new_level < self.frozen.slot_levels(slot) {
+            let card = self.frozen.slot_child_count(slot, new_level) as f64 * parent.fsel;
+            let parent_in_sum = self.frozen.in_child_sum(parent.vertex, old_level);
+            let bsel = if parent_in_sum == 0 {
+                0.0
+            } else {
+                self.frozen.slot_parent_count(slot, new_level) as f64 / parent_in_sum as f64
+            };
+            (card, bsel)
+        } else {
+            (0.0, 0.0)
+        };
+
+        if let Some(het) = self.het {
+            if let Some((actual_card, actual_bsel)) = het.lookup_simple(path_hash) {
+                card = actual_card as f64;
+                bsel = actual_bsel;
+            }
+        }
+
+        if card <= threshold {
+            return None;
+        }
+
+        let v_in_sum = self.frozen.in_child_sum(child, new_level);
+        let fsel = if v_in_sum == 0 {
+            0.0
+        } else {
+            card / v_in_sum as f64
+        };
+
+        Some(MemoNode {
+            vertex: child,
+            card,
+            fsel,
+            bsel,
+            path_hash,
+            subtree_end: 0,
+        })
+    }
+}
+
+/// An open position of an [`ExpansionWalk`]: its memo index and its
+/// out-slot cursor.
+struct WalkFrame {
+    node: u32,
+    next_slot: u32,
+    end_slot: u32,
 }
 
 /// Counters and occupancy of a [`CompiledPlanCache`].
@@ -505,9 +673,9 @@ impl CompiledPlanCache {
 
 const NO_TABLES: u32 = u32::MAX;
 
-/// Streams the expanded path tree over a [`FrozenKernel`] and matches a
-/// query against it in the same pass. Reusable across queries: the scratch
-/// buffers grow to the high-water mark of the frontier and stay allocated.
+/// Matches queries against a [`FrozenKernel`] snapshot by replaying its
+/// [`FrontierMemo`]. Reusable across queries: the scratch buffers grow to
+/// the high-water mark of the frontier and stay allocated.
 pub struct StreamingMatcher<'a> {
     frozen: &'a FrozenKernel,
     names: &'a NameTable,
@@ -529,20 +697,10 @@ pub struct StreamingMatcher<'a> {
     produced: Vec<(u32, f64, u32, u32)>,
     produced_cells: Vec<u32>,
     node_cells: Vec<(u32, u32)>,
-    // Recursion tracking (Figure 3 semantics over flat arrays).
-    rec_counts: Vec<u32>,
-    rec_occ: Vec<u32>,
-    rec_max: usize,
     opens: usize,
-    /// Cached effective cardinality threshold of the snapshot (the
-    /// configured `card_threshold`, escalated until the full expansion
-    /// fits `max_ept_nodes`). Computed lazily on the first cold traversal
-    /// or injected via
-    /// [`StreamingMatcher::set_effective_card_threshold`]; never cleared —
-    /// the snapshot is immutable for the matcher's lifetime.
-    eff_threshold: Option<f64>,
-    /// When set, estimates replay the memoized expansion instead of
-    /// re-deriving footprints per node (see [`FrontierMemo`]).
+    /// The expansion every estimate replays: installed by
+    /// [`StreamingMatcher::set_frontier_memo`], or built by the first
+    /// estimate that needs it (HET fast-path answers do not).
     memo: Option<Arc<FrontierMemo>>,
     /// When set, [`StreamingMatcher::estimate_plan`] reuses compiled
     /// queries across estimates (see [`CompiledPlanCache`]).
@@ -551,7 +709,9 @@ pub struct StreamingMatcher<'a> {
 
 impl<'a> StreamingMatcher<'a> {
     /// Creates a matcher over a frozen snapshot. `names` must be the name
-    /// table of the kernel the snapshot was taken from.
+    /// table of the kernel the snapshot was taken from. Without a memo
+    /// installed through [`StreamingMatcher::set_frontier_memo`], the
+    /// first estimate builds one.
     pub fn new(
         frozen: &'a FrozenKernel,
         names: &'a NameTable,
@@ -576,24 +736,9 @@ impl<'a> StreamingMatcher<'a> {
             produced: Vec::new(),
             produced_cells: Vec::new(),
             node_cells: Vec::new(),
-            rec_counts: vec![0; frozen.vertex_count()],
-            rec_occ: Vec::new(),
-            rec_max: 0,
             opens: 0,
-            eff_threshold: None,
             memo: None,
             compiled_cache: None,
-        }
-    }
-
-    /// Switches the matcher to batched (memoized) mode: the traveler's
-    /// expansion is recorded once and every subsequent estimate replays it.
-    /// Worth it from the second query of a batch onwards; a no-op when a
-    /// memo is already installed.
-    pub fn enable_batch_memo(&mut self) {
-        if self.memo.is_none() {
-            let memo = self.build_memo_nodes();
-            self.memo = Some(Arc::new(memo));
         }
     }
 
@@ -605,9 +750,8 @@ impl<'a> StreamingMatcher<'a> {
     /// contract** — only the snapshot's vertex and slot counts are
     /// sanity-checked (in debug builds), which cannot catch e.g. a config
     /// or HET that differs over an identically shaped graph. Obtaining
-    /// matchers through
-    /// [`crate::synopsis::SynopsisSnapshot::matcher_for_batch`] upholds
-    /// the contract by construction (one bundle owns both).
+    /// matchers through [`crate::synopsis::SynopsisSnapshot::matcher`]
+    /// upholds the contract by construction (one bundle owns both).
     pub fn set_frontier_memo(&mut self, memo: Arc<FrontierMemo>) {
         debug_assert_eq!(memo.vertex_count, self.frozen.vertex_count());
         debug_assert_eq!(memo.slot_count, self.frozen.slot_count());
@@ -636,19 +780,7 @@ impl<'a> StreamingMatcher<'a> {
     /// the parse *and* the compilation. Without a cache this is equivalent
     /// to `estimate(plan.expr())`.
     pub fn estimate_plan(&mut self, plan: &QueryPlan) -> f64 {
-        if let Some((answer, _)) = self.answer_without_traversal(plan.expr()) {
-            return answer;
-        }
-        match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || self.compile(plan.expr()));
-                self.run_compiled(&compiled).0
-            }
-            None => {
-                let query = self.compile(plan.expr());
-                self.run_compiled(&query).0
-            }
-        }
+        self.estimate_plan_timed(plan).0
     }
 
     /// [`StreamingMatcher::estimate_plan`], additionally reporting how
@@ -663,25 +795,28 @@ impl<'a> StreamingMatcher<'a> {
         if let Some((answer, _)) = self.answer_without_traversal(plan.expr()) {
             return (answer, None);
         }
+        let (compiled, compile_time) = self.compiled_plan(plan);
+        (self.run_compiled(&compiled).0, compile_time)
+    }
+
+    /// The compiled form of `plan` — from the installed cache, or compiled
+    /// here when there is none — with the compilation time when this call
+    /// compiled it (`None` on a cache hit). The point and bound plan paths
+    /// share this one lookup, so each estimate counts once in the cache's
+    /// counters.
+    fn compiled_plan(&self, plan: &QueryPlan) -> (Arc<CompiledQuery>, Option<Duration>) {
         let mut compile_time = None;
-        let estimate = match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || {
-                    let started = Instant::now();
-                    let compiled = self.compile(plan.expr());
-                    compile_time = Some(started.elapsed());
-                    compiled
-                });
-                self.run_compiled(&compiled).0
-            }
-            None => {
-                let started = Instant::now();
-                let query = self.compile(plan.expr());
-                compile_time = Some(started.elapsed());
-                self.run_compiled(&query).0
-            }
+        let mut compile = || {
+            let started = Instant::now();
+            let compiled = self.compile(plan.expr());
+            compile_time = Some(started.elapsed());
+            compiled
         };
-        (estimate, compile_time)
+        let compiled = match &self.compiled_cache {
+            Some(cache) => cache.get_or_compile(plan.id(), compile),
+            None => Arc::new(compile()),
+        };
+        (compiled, compile_time)
     }
 
     /// Estimates a path expression in **bound mode**: the usual point
@@ -712,26 +847,28 @@ impl<'a> StreamingMatcher<'a> {
     /// [`CompiledPlanCache`] is installed: one cache lookup serves both
     /// halves, so a bound request counts once in the cache's counters.
     /// The point half keeps [`StreamingMatcher::estimate_plan`]'s HET
-    /// fast path.
-    pub fn estimate_plan_bound(&mut self, plan: &QueryPlan) -> BoundedEstimate {
-        let compiled = match self.compiled_cache.clone() {
-            Some(cache) => cache.get_or_compile(plan.id(), || self.compile(plan.expr())),
-            None => Arc::new(self.compile(plan.expr())),
-        };
+    /// fast path. Like [`StreamingMatcher::estimate_plan_timed`], also
+    /// reports the compilation time when this call compiled the plan.
+    pub fn estimate_plan_bound_timed(
+        &mut self,
+        plan: &QueryPlan,
+    ) -> (BoundedEstimate, Option<Duration>) {
+        let (compiled, compile_time) = self.compiled_plan(plan);
         let estimate = match self.answer_without_traversal(plan.expr()) {
             Some((answer, _)) => answer,
             None => self.run_compiled(&compiled).0,
         };
         let raw = self.compute_bound(&compiled);
-        BoundedEstimate {
+        let bounded = BoundedEstimate {
             estimate,
             bound: (raw as f64).max(estimate),
-        }
+        };
+        (bounded, compile_time)
     }
 
-    /// Estimates the cardinality, also reporting the number of EPT nodes
-    /// *visited* by the streamed traversal (a lower bound on the
-    /// materialized EPT size, thanks to reachability pruning).
+    /// Estimates the cardinality, also reporting the number of memo
+    /// positions *visited* by the replay: at most the materialized EPT
+    /// size, since reachability pruning skips whole subtrees.
     pub fn estimate_with_stats(&mut self, expr: &PathExpr) -> (f64, usize) {
         if let Some(answer) = self.answer_without_traversal(expr) {
             return answer;
@@ -756,20 +893,21 @@ impl<'a> StreamingMatcher<'a> {
         None
     }
 
-    /// Runs the streamed (or memo-replayed) match of an already-compiled
-    /// query and sums the contributions.
+    /// Replays the frontier memo (building it first if this matcher has
+    /// none) and matches an already-compiled query in the same pass,
+    /// summing the contributions. Frame cursors index memo positions;
+    /// advancing a cursor jumps over the child's whole pre-order extent,
+    /// so pruning a subtree costs O(1).
     fn run_compiled(&mut self, query: &CompiledQuery) -> (f64, usize) {
-        let Some(root) = self.frozen.root() else {
+        let memo = self
+            .memo
+            .get_or_insert_with(|| {
+                Arc::new(FrontierMemo::build(self.frozen, self.config, self.het))
+            })
+            .clone();
+        let nodes = &memo.nodes;
+        let Some(&root) = nodes.first() else {
             return (0.0, 0);
-        };
-        // The cold pass needs the snapshot's effective threshold; resolve
-        // it before `reset()` because the counting passes dirty the
-        // recursion tracker. Memo replay bakes the thresholded frontier
-        // into the memo nodes and never re-derives footprints.
-        let threshold = if self.memo.is_none() {
-            self.effective_card_threshold()
-        } else {
-            0.0
         };
         self.reset();
 
@@ -789,315 +927,24 @@ impl<'a> StreamingMatcher<'a> {
             });
         }
         let incoming_end = self.states.len() as u32;
-
-        if let Some(memo) = self.memo.clone() {
-            self.run_replay(&memo, incoming_start, incoming_end, query);
-        } else {
-            self.run_stream(root, incoming_start, incoming_end, query, threshold);
-        }
-
-        let total = self.sum_contributions();
-        (total, self.opens)
-    }
-
-    /// The cold traversal: streams the traveler's expansion and matches in
-    /// the same pass (see the module docs).
-    fn run_stream(
-        &mut self,
-        root: VertexId,
-        incoming_start: u32,
-        incoming_end: u32,
-        query: &CompiledQuery,
-        threshold: f64,
-    ) {
-        let root_fp = Footprint {
-            vertex: root,
-            card: 1.0,
-            fsel: 1.0,
-            bsel: 1.0,
-            path_hash: inc_hash(PATH_HASH_SEED, self.frozen.label(root)),
-        };
-        self.rec_push(root);
-        let slots = self.frozen.out_slots(root);
-        self.open_frame(
-            root_fp,
-            incoming_start,
-            incoming_end,
-            query,
-            slots.start as u32,
-            slots.end as u32,
-        );
+        self.open_frame(root, 1, incoming_start, incoming_end, query);
 
         while let Some(frame) = self.frames.last().copied() {
-            if frame.next_slot >= frame.end_slot {
+            if frame.next_child >= frame.subtree_end {
                 self.close_top(query);
                 continue;
             }
-            let slot = frame.next_slot as usize;
+            let m = frame.next_child;
+            let node = nodes[m as usize];
             let top = self.frames.len() - 1;
-            self.frames[top].next_slot += 1;
-
-            let child = self.frozen.slot_target(slot);
-            let Some(fp) = self.child_footprint(
-                frame.vertex,
-                frame.fsel,
-                frame.path_hash,
-                slot,
-                child,
-                threshold,
-            ) else {
-                continue;
-            };
-            if !frame.tables_active && !self.any_state_viable(&frame, child, query) {
-                continue;
-            }
-            self.rec_push(child);
-            let slots = self.frozen.out_slots(fp.vertex);
-            self.open_frame(
-                fp,
-                frame.states_start,
-                frame.states_end,
-                query,
-                slots.start as u32,
-                slots.end as u32,
-            );
-        }
-    }
-
-    /// The batched traversal: replays the memoized expansion, skipping
-    /// footprint arithmetic and recursion tracking entirely. Frame slot
-    /// cursors index memo nodes instead of frozen out-slots; advancing a
-    /// cursor jumps over the child's whole pre-order extent, so pruning a
-    /// subtree costs O(1).
-    fn run_replay(
-        &mut self,
-        memo: &FrontierMemo,
-        incoming_start: u32,
-        incoming_end: u32,
-        query: &CompiledQuery,
-    ) {
-        let nodes = &memo.nodes;
-        let Some(root) = nodes.first() else {
-            return;
-        };
-        self.open_frame(
-            root.footprint(),
-            incoming_start,
-            incoming_end,
-            query,
-            1,
-            root.subtree_end,
-        );
-
-        while let Some(frame) = self.frames.last().copied() {
-            if frame.next_slot >= frame.end_slot {
-                self.close_top(query);
-                continue;
-            }
-            let m = frame.next_slot as usize;
-            let node = nodes[m];
-            let top = self.frames.len() - 1;
-            self.frames[top].next_slot = node.subtree_end;
+            self.frames[top].next_child = node.subtree_end;
             if !frame.tables_active && !self.any_state_viable(&frame, node.vertex, query) {
                 continue;
             }
-            self.open_frame(
-                node.footprint(),
-                frame.states_start,
-                frame.states_end,
-                query,
-                m as u32 + 1,
-                node.subtree_end,
-            );
-        }
-    }
-
-    /// Runs the traveler's expansion once, recording every opened node in
-    /// pre-order with its subtree extent — the build step of
-    /// [`FrontierMemo`]. Uses (and then resets) this matcher's recursion
-    /// tracker; no query matching happens here.
-    fn build_memo_nodes(&mut self) -> FrontierMemo {
-        // Resolve the effective threshold before touching the recursion
-        // tracker — the counting passes dirty it.
-        let threshold = self.effective_card_threshold();
-        self.rec_counts.clear();
-        self.rec_counts.resize(self.frozen.vertex_count(), 0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
-
-        struct BuildFrame {
-            node: u32,
-            vertex: VertexId,
-            fsel: f64,
-            path_hash: u64,
-            next_slot: u32,
-            end_slot: u32,
+            self.open_frame(node, m + 1, frame.states_start, frame.states_end, query);
         }
 
-        let mut nodes: Vec<MemoNode> = Vec::new();
-        let mut stack: Vec<BuildFrame> = Vec::new();
-        if let Some(root) = self.frozen.root() {
-            let path_hash = inc_hash(PATH_HASH_SEED, self.frozen.label(root));
-            self.rec_push(root);
-            nodes.push(MemoNode {
-                vertex: root,
-                card: 1.0,
-                fsel: 1.0,
-                bsel: 1.0,
-                path_hash,
-                subtree_end: 0,
-            });
-            let slots = self.frozen.out_slots(root);
-            stack.push(BuildFrame {
-                node: 0,
-                vertex: root,
-                fsel: 1.0,
-                path_hash,
-                next_slot: slots.start as u32,
-                end_slot: slots.end as u32,
-            });
-
-            while let Some(top) = stack.last_mut() {
-                if top.next_slot >= top.end_slot {
-                    let done = stack.pop().expect("non-empty stack");
-                    self.rec_pop(done.vertex);
-                    nodes[done.node as usize].subtree_end = nodes.len() as u32;
-                    continue;
-                }
-                let slot = top.next_slot as usize;
-                top.next_slot += 1;
-                let (pv, pf, ph) = (top.vertex, top.fsel, top.path_hash);
-
-                let child = self.frozen.slot_target(slot);
-                let Some(fp) = self.child_footprint(pv, pf, ph, slot, child, threshold) else {
-                    continue;
-                };
-                self.rec_push(child);
-                let node = nodes.len() as u32;
-                nodes.push(MemoNode {
-                    vertex: fp.vertex,
-                    card: fp.card,
-                    fsel: fp.fsel,
-                    bsel: fp.bsel,
-                    path_hash: fp.path_hash,
-                    subtree_end: 0,
-                });
-                let slots = self.frozen.out_slots(fp.vertex);
-                stack.push(BuildFrame {
-                    node,
-                    vertex: fp.vertex,
-                    fsel: fp.fsel,
-                    path_hash: fp.path_hash,
-                    next_slot: slots.start as u32,
-                    end_slot: slots.end as u32,
-                });
-            }
-        }
-
-        FrontierMemo {
-            nodes,
-            vertex_count: self.frozen.vertex_count(),
-            slot_count: self.frozen.slot_count(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Effective cardinality threshold (max_ept_nodes escalation)
-    // ------------------------------------------------------------------
-
-    /// The snapshot's effective cardinality threshold: the configured
-    /// `card_threshold`, escalated (see
-    /// [`escalate_card_threshold`](crate::config::escalate_card_threshold))
-    /// until the full query-independent expansion fits within
-    /// `max_ept_nodes` nodes. Cached after the first computation — the
-    /// snapshot is immutable for the matcher's lifetime, so the answer
-    /// never changes. Leaves the recursion tracker dirty; callers reset it
-    /// before traversing.
-    pub(crate) fn effective_card_threshold(&mut self) -> f64 {
-        if let Some(t) = self.eff_threshold {
-            return t;
-        }
-        let cap = self.config.max_ept_nodes.max(1);
-        let mut threshold = self.config.card_threshold;
-        while self.count_expansion(threshold, cap) > cap {
-            threshold = escalate_card_threshold(threshold);
-        }
-        self.eff_threshold = Some(threshold);
-        threshold
-    }
-
-    /// Injects a pre-computed effective threshold, letting snapshot owners
-    /// ([`crate::synopsis::SynopsisSnapshot`]) pay the counting passes
-    /// once per snapshot instead of once per matcher. The value must be
-    /// what [`StreamingMatcher::effective_card_threshold`] would compute
-    /// for the same frozen snapshot + config + HET — the same caller's
-    /// contract as [`StreamingMatcher::set_frontier_memo`].
-    pub(crate) fn set_effective_card_threshold(&mut self, threshold: f64) {
-        self.eff_threshold = Some(threshold);
-    }
-
-    /// Counts the opens of the expansion under `threshold`, aborting as
-    /// soon as the count exceeds `cap` — the escalation loop only needs
-    /// fits / doesn't-fit, so each pass costs at most `cap + 1` opens
-    /// (which also bounds the pass on expansions that would otherwise not
-    /// terminate, e.g. a negative threshold keeping cardinality-0 cycles
-    /// open forever). Dirties the recursion tracker.
-    fn count_expansion(&mut self, threshold: f64, cap: usize) -> usize {
-        let Some(root) = self.frozen.root() else {
-            return 0;
-        };
-        self.rec_counts.clear();
-        self.rec_counts.resize(self.frozen.vertex_count(), 0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
-
-        struct CountFrame {
-            vertex: VertexId,
-            fsel: f64,
-            path_hash: u64,
-            next_slot: u32,
-            end_slot: u32,
-        }
-
-        let mut opens = 1usize;
-        self.rec_push(root);
-        let slots = self.frozen.out_slots(root);
-        let mut stack = vec![CountFrame {
-            vertex: root,
-            fsel: 1.0,
-            path_hash: inc_hash(PATH_HASH_SEED, self.frozen.label(root)),
-            next_slot: slots.start as u32,
-            end_slot: slots.end as u32,
-        }];
-        while let Some(top) = stack.last_mut() {
-            if top.next_slot >= top.end_slot {
-                let done = stack.pop().expect("non-empty stack");
-                self.rec_pop(done.vertex);
-                continue;
-            }
-            let slot = top.next_slot as usize;
-            top.next_slot += 1;
-            let (pv, pf, ph) = (top.vertex, top.fsel, top.path_hash);
-
-            let child = self.frozen.slot_target(slot);
-            let Some(fp) = self.child_footprint(pv, pf, ph, slot, child, threshold) else {
-                continue;
-            };
-            opens += 1;
-            if opens > cap {
-                return opens;
-            }
-            self.rec_push(child);
-            let slots = self.frozen.out_slots(fp.vertex);
-            stack.push(CountFrame {
-                vertex: fp.vertex,
-                fsel: fp.fsel,
-                path_hash: fp.path_hash,
-                next_slot: slots.start as u32,
-                end_slot: slots.end as u32,
-            });
-        }
-        opens
+        (self.sum_contributions(), self.opens)
     }
 
     // ------------------------------------------------------------------
@@ -1237,100 +1084,7 @@ impl<'a> StreamingMatcher<'a> {
         self.contribs.clear();
         self.contrib_cands.clear();
         self.contrib_cells.clear();
-        self.rec_counts.clear();
-        self.rec_counts.resize(self.frozen.vertex_count(), 0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
         self.opens = 0;
-    }
-
-    #[inline]
-    fn rec_level(&self) -> usize {
-        self.rec_max.saturating_sub(1)
-    }
-
-    #[inline]
-    fn rec_peek_push(&self, v: VertexId) -> usize {
-        let occurrence = self.rec_counts[v.index()] as usize + 1;
-        occurrence.max(self.rec_max) - 1
-    }
-
-    fn rec_push(&mut self, v: VertexId) {
-        let count = &mut self.rec_counts[v.index()];
-        *count += 1;
-        let c = *count as usize;
-        if self.rec_occ.len() <= c {
-            self.rec_occ.resize(c + 1, 0);
-        }
-        self.rec_occ[c] += 1;
-        if c > self.rec_max {
-            self.rec_max = c;
-        }
-    }
-
-    fn rec_pop(&mut self, v: VertexId) {
-        let count = &mut self.rec_counts[v.index()];
-        let c = *count as usize;
-        *count -= 1;
-        self.rec_occ[c] -= 1;
-        while self.rec_max > 0 && self.rec_occ[self.rec_max] == 0 {
-            self.rec_max -= 1;
-        }
-    }
-
-    /// The traveler's `EST`: footprint of the child reached through `slot`,
-    /// or `None` when traversal stops there (threshold or Observation 1).
-    fn child_footprint(
-        &self,
-        parent_vertex: VertexId,
-        parent_fsel: f64,
-        parent_path_hash: u64,
-        slot: usize,
-        child: VertexId,
-        threshold: f64,
-    ) -> Option<Footprint> {
-        let old_level = self.rec_level();
-        let new_level = self.rec_peek_push(child);
-        let path_hash = inc_hash(parent_path_hash, self.frozen.label(child));
-
-        let (mut card, mut bsel) = if new_level < self.frozen.slot_levels(slot) {
-            let card = self.frozen.slot_child_count(slot, new_level) as f64 * parent_fsel;
-            let parent_in_sum = self.frozen.in_child_sum(parent_vertex, old_level);
-            let bsel = if parent_in_sum == 0 {
-                0.0
-            } else {
-                self.frozen.slot_parent_count(slot, new_level) as f64 / parent_in_sum as f64
-            };
-            (card, bsel)
-        } else {
-            (0.0, 0.0)
-        };
-
-        if let Some(het) = self.het {
-            if let Some((actual_card, actual_bsel)) = het.lookup_simple(path_hash) {
-                card = actual_card as f64;
-                bsel = actual_bsel;
-            }
-        }
-
-        if card <= threshold {
-            return None;
-        }
-
-        let v_in_sum = self.frozen.in_child_sum(child, new_level);
-        let fsel = if v_in_sum == 0 {
-            0.0
-        } else {
-            card / v_in_sum as f64
-        };
-
-        Some(Footprint {
-            vertex: child,
-            card,
-            fsel,
-            bsel,
-            path_hash,
-        })
     }
 
     /// Whether any inherited frontier state could still complete inside the
@@ -1344,18 +1098,17 @@ impl<'a> StreamingMatcher<'a> {
             })
     }
 
-    /// Opens a frame for `fp`, processing the inherited frontier states
-    /// exactly as the materialized matcher processes one EPT node.
-    /// `children_start..children_end` is the frame's child cursor range —
-    /// frozen out-slots in streaming mode, memo indices during replay.
+    /// Opens a frame for the memo position `fp`, processing the inherited
+    /// frontier states exactly as the materialized matcher processes one
+    /// EPT node. `first_child` is the memo index of `fp`'s first child
+    /// position.
     fn open_frame(
         &mut self,
-        fp: Footprint,
+        fp: MemoNode,
+        first_child: u32,
         incoming_start: u32,
         incoming_end: u32,
         query: &CompiledQuery,
-        children_start: u32,
-        children_end: u32,
     ) {
         self.opens += 1;
         let label = self.frozen.label(fp.vertex);
@@ -1512,11 +1265,9 @@ impl<'a> StreamingMatcher<'a> {
 
         self.frames.push(Frame {
             vertex: fp.vertex,
-            fsel: fp.fsel,
             bsel: fp.bsel,
-            path_hash: fp.path_hash,
-            next_slot: children_start,
-            end_slot: children_end,
+            next_child: first_child,
+            subtree_end: fp.subtree_end,
             states_start,
             states_end: self.states.len() as u32,
             cands_mark,
@@ -1604,11 +1355,6 @@ impl<'a> StreamingMatcher<'a> {
     /// embedding tables into its parent, and truncates the scratch stacks.
     fn close_top(&mut self, query: &CompiledQuery) {
         let frame = self.frames.pop().expect("close requires an open frame");
-        // Replay never touches the recursion tracker (levels are baked into
-        // the memo), so there is nothing to pop in memoized mode.
-        if self.memo.is_none() {
-            self.rec_pop(frame.vertex);
-        }
 
         if frame.tables_active {
             let p_count = query.preds.len();
@@ -1985,19 +1731,7 @@ mod tests {
     #[test]
     fn streaming_matches_materialized_on_figure4() {
         let kernel = KernelBuilder::from_document(&figure4_document());
-        assert_matches_materialized(
-            &kernel,
-            None,
-            &[
-                "/a/b/d/e",
-                "/a/c/d/f",
-                "/a/b/d[f]/e",
-                "/a/c/d[f]/e",
-                "//d[e][f]",
-                "//d//*",
-                "/a/*/d[e]/f",
-            ],
-        );
+        assert_matches_materialized(&kernel, None, FIGURE4_QUERIES);
     }
 
     #[test]
@@ -2013,6 +1747,17 @@ mod tests {
         het.insert_correlated(correlated_key(anchor, &[l("t")], l("p")), 9, 1.0, 50.0);
         het.rebuild_residency();
         assert_matches_materialized(&kernel, Some(&het), FIGURE2_QUERIES);
+    }
+
+    #[test]
+    fn streaming_matches_materialized_with_card_threshold() {
+        let kernel = KernelBuilder::from_document(&figure2_document());
+        assert_matches_materialized_with_config(
+            &kernel,
+            None,
+            &XseedConfig::default().with_card_threshold(2.0),
+            FIGURE2_QUERIES,
+        );
     }
 
     #[test]
@@ -2058,8 +1803,10 @@ mod tests {
         let kernel = Kernel::new();
         let frozen = FrozenKernel::freeze(&kernel);
         let config = XseedConfig::default();
+        assert!(FrontierMemo::build(&frozen, &config, None).is_empty());
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         assert_eq!(m.estimate(&parse("/a").unwrap()), 0.0);
+        assert_matches_materialized(&kernel, None, &["/a", "//*", "/a[b]/c"]);
     }
 
     #[test]
@@ -2075,81 +1822,6 @@ mod tests {
             assert!((m.estimate(&parse("//p").unwrap()) - 17.0).abs() < 1e-9);
             assert!((m.estimate(&parse("/a/c").unwrap()) - 2.0).abs() < 1e-9);
         }
-    }
-
-    fn assert_memo_matches_streaming(
-        kernel: &Kernel,
-        het: Option<&HyperEdgeTable>,
-        config: &XseedConfig,
-        queries: &[&str],
-    ) {
-        let frozen = FrozenKernel::freeze(kernel);
-        let mut cold = StreamingMatcher::new(&frozen, kernel.names(), config, het);
-        let mut memoized = StreamingMatcher::new(&frozen, kernel.names(), config, het);
-        memoized.enable_batch_memo();
-        for q in queries {
-            let expr = parse(q).unwrap();
-            let expected = cold.estimate(&expr);
-            let got = memoized.estimate(&expr);
-            assert!(
-                (expected - got).abs() < 1e-9,
-                "{q}: memoized {got} != streaming {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn memo_replay_matches_streaming_on_figure2() {
-        let kernel = KernelBuilder::from_document(&figure2_document());
-        assert_memo_matches_streaming(&kernel, None, &XseedConfig::default(), FIGURE2_QUERIES);
-    }
-
-    #[test]
-    fn memo_replay_matches_streaming_on_figure4() {
-        let kernel = KernelBuilder::from_document(&figure4_document());
-        assert_memo_matches_streaming(
-            &kernel,
-            None,
-            &XseedConfig::default(),
-            &[
-                "/a/b/d/e",
-                "/a/c/d/f",
-                "/a/b/d[f]/e",
-                "/a/c/d[f]/e",
-                "//d[e][f]",
-                "//d//*",
-                "/a/*/d[e]/f",
-            ],
-        );
-    }
-
-    #[test]
-    fn memo_replay_matches_streaming_with_het() {
-        let kernel = KernelBuilder::from_document(&figure2_document());
-        let names = kernel.names();
-        let l = |n: &str| names.lookup(n).unwrap();
-        let mut het = HyperEdgeTable::new();
-        het.insert_simple(path_hash(&[l("a"), l("c")]), 7, 0.9, 100.0);
-        let anchor = path_hash(&[l("a"), l("c"), l("s")]);
-        het.insert_correlated(correlated_key(anchor, &[l("t")], l("p")), 9, 1.0, 50.0);
-        het.rebuild_residency();
-        assert_memo_matches_streaming(
-            &kernel,
-            Some(&het),
-            &XseedConfig::default(),
-            FIGURE2_QUERIES,
-        );
-    }
-
-    #[test]
-    fn memo_replay_matches_streaming_with_card_threshold() {
-        let kernel = KernelBuilder::from_document(&figure2_document());
-        assert_memo_matches_streaming(
-            &kernel,
-            None,
-            &XseedConfig::default().with_card_threshold(2.0),
-            FIGURE2_QUERIES,
-        );
     }
 
     #[test]
@@ -2179,10 +1851,9 @@ mod tests {
         assert!(visited <= 3);
     }
 
-    /// Asserts the three estimation paths expand one shared frontier under
-    /// a tiny `max_ept_nodes`: the materialized EPT fits the cap, the memo
-    /// records exactly that EPT, streaming agrees with the oracle on every
-    /// query, and memo replay agrees with the cold pass bit-for-bit.
+    /// Asserts that under a tiny `max_ept_nodes` the memo records exactly
+    /// the materialized EPT, which fits the cap, and that replaying it
+    /// agrees with the oracle on every query.
     fn assert_one_frontier_under_cap(
         kernel: &Kernel,
         het: Option<&HyperEdgeTable>,
@@ -2203,27 +1874,13 @@ mod tests {
             "cap {cap}: memo and oracle frontiers differ"
         );
         assert_matches_materialized_with_config(kernel, het, &config, queries);
-        let mut cold = StreamingMatcher::new(&frozen, kernel.names(), &config, het);
-        let mut memoized = StreamingMatcher::new(&frozen, kernel.names(), &config, het);
-        memoized.set_frontier_memo(Arc::new(memo));
-        for q in queries {
-            let expr = parse(q).unwrap();
-            assert_eq!(
-                memoized.estimate(&expr).to_bits(),
-                cold.estimate(&expr).to_bits(),
-                "cap {cap} {q}: memo replay diverged from cold streaming"
-            );
-        }
     }
 
     #[test]
     fn tiny_caps_share_one_frontier_across_all_paths() {
-        // The old hard cap stopped each consumer after `max_ept_nodes`
-        // opens of *its own* walk, so reachability pruning let the cold
-        // streaming pass truncate at a different frontier from the
-        // materialized oracle and the memo — the PR 1 divergence caveat.
-        // Threshold escalation removes the mid-walk stop entirely; these
-        // are the old failing configs.
+        // A tiny cap escalates the threshold instead of stopping a walk
+        // mid-stride, so the memo's walk and the traveler settle on one
+        // frontier even when pruning would make per-walk stops differ.
         let kernel2 = KernelBuilder::from_document(&figure2_document());
         let kernel4 = KernelBuilder::from_document(&figure4_document());
         let names = kernel2.names();
@@ -2231,19 +1888,17 @@ mod tests {
         let mut het = HyperEdgeTable::new();
         het.insert_simple(path_hash(&[l("a"), l("c")]), 7, 0.9, 100.0);
         het.rebuild_residency();
-        let figure4_queries = &[
-            "/a/b/d/e",
-            "/a/c/d/f",
-            "/a/b/d[f]/e",
-            "//d[e][f]",
-            "//d//*",
-            "/a/*/d[e]/f",
-        ];
         for cap in [1usize, 2, 3, 5, 8] {
             assert_one_frontier_under_cap(&kernel2, None, cap, FIGURE2_QUERIES);
             assert_one_frontier_under_cap(&kernel2, Some(&het), cap, FIGURE2_QUERIES);
-            assert_one_frontier_under_cap(&kernel4, None, cap, figure4_queries);
+            assert_one_frontier_under_cap(&kernel4, None, cap, FIGURE4_QUERIES);
         }
+    }
+
+    #[test]
+    fn memo_node_is_forty_bytes() {
+        // docs/OPERATIONS.md sizes a snapshot's memo from this figure.
+        assert_eq!(std::mem::size_of::<MemoNode>(), 40);
     }
 
     #[test]
@@ -2278,18 +1933,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn memo_on_empty_kernel() {
-        let kernel = Kernel::new();
-        let frozen = FrozenKernel::freeze(&kernel);
-        let config = XseedConfig::default();
-        let memo = FrontierMemo::build(&frozen, &config, None);
-        assert!(memo.is_empty());
-        let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        m.enable_batch_memo();
-        assert_eq!(m.estimate(&parse("/a").unwrap()), 0.0);
     }
 
     #[test]
@@ -2551,10 +2194,12 @@ mod tests {
         for q in FIGURE2_QUERIES {
             let plan = QueryPlan::parse(q).unwrap();
             let expected = plain.estimate_bound(plan.expr());
-            for _ in 0..2 {
-                let got = cached.estimate_plan_bound(&plan);
+            for round in 0..2 {
+                let (got, compile_time) = cached.estimate_plan_bound_timed(&plan);
                 assert_eq!(got.bound.to_bits(), expected.bound.to_bits(), "{q}");
                 assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits(), "{q}");
+                // Compile time is reported exactly on the cache miss.
+                assert_eq!(compile_time.is_some(), round == 0, "{q}");
             }
         }
         assert!(cache.stats().hits > 0);

@@ -308,7 +308,6 @@ impl XseedSynopsis {
                     het: self.het.clone(),
                     memo: OnceLock::new(),
                     compiled: OnceLock::new(),
-                    eff_threshold: OnceLock::new(),
                 }),
             })
             .clone()
@@ -334,8 +333,8 @@ impl XseedSynopsis {
     /// Estimates the cardinality of a path expression.
     ///
     /// Runs the streaming matcher over the frozen kernel snapshot: no EPT
-    /// arena is materialized, and the snapshot is shared by every estimate
-    /// until the kernel changes.
+    /// arena is materialized, and the snapshot and its frontier memo are
+    /// shared by every estimate until the next mutation.
     pub fn estimate(&self, expr: &PathExpr) -> f64 {
         self.streaming_matcher().estimate(expr)
     }
@@ -357,18 +356,18 @@ impl XseedSynopsis {
         self.streaming_matcher().estimate_bound(expr)
     }
 
-    /// Estimates a whole batch of queries over one shared frontier memo
-    /// (the traveler's expansion recorded once per epoch and replayed per
-    /// query), returning the estimates in input order. The memo is cached
-    /// on the published snapshot, so repeated batches between updates pay
-    /// the expansion exactly once.
+    /// Estimates a whole batch of queries with one matcher, returning the
+    /// estimates in input order. Like every estimate, each query replays
+    /// the published snapshot's frontier memo, so repeated batches between
+    /// updates pay the expansion exactly once.
     pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
         self.snapshot().estimate_batch(exprs)
     }
 
-    /// Creates a streaming matcher over the frozen snapshot. Reusing one
-    /// matcher across many queries keeps its scratch buffers warm; each
-    /// [`XseedSynopsis::estimate`] call otherwise creates a fresh one.
+    /// Creates a streaming matcher over the frozen snapshot, replaying the
+    /// published snapshot's frontier memo (built once per epoch). Reusing
+    /// one matcher across many queries keeps its scratch buffers warm;
+    /// each [`XseedSynopsis::estimate`] call otherwise creates a fresh one.
     pub fn streaming_matcher(&self) -> StreamingMatcher<'_> {
         let mut matcher = StreamingMatcher::new(
             self.frozen_kernel(),
@@ -376,10 +375,7 @@ impl XseedSynopsis {
             &self.config,
             self.het.as_deref(),
         );
-        // The snapshot bundle caches the effective threshold; sharing it
-        // here means one-shot estimates skip the escalation counting
-        // passes too.
-        matcher.set_effective_card_threshold(self.snapshot().effective_card_threshold());
+        matcher.set_frontier_memo(self.snapshot().frontier_memo().clone());
         matcher
     }
 
@@ -550,8 +546,8 @@ impl XseedSynopsis {
 
 /// A self-contained, epoch-stamped publication of a synopsis' estimate
 /// state: the frozen kernel (shared by `Arc`), the name table, the config,
-/// and the HET, plus a lazily built [`FrontierMemo`] for batched
-/// estimation.
+/// and the HET, plus the lazily built [`FrontierMemo`] every estimate
+/// replays.
 ///
 /// The bundle is immutable and `Send + Sync`: any number of threads can
 /// estimate from one snapshot concurrently without locks, and a snapshot
@@ -570,7 +566,7 @@ struct SnapshotInner {
     names: NameTable,
     config: XseedConfig,
     het: Option<Arc<HyperEdgeTable>>,
-    /// Built on first batched estimate, then shared by every worker
+    /// Built by the first matcher handed out, then shared by every matcher
     /// estimating from this snapshot.
     memo: OnceLock<Arc<FrontierMemo>>,
     /// Per-snapshot compiled-query cache (plan id → label-resolved
@@ -580,12 +576,6 @@ struct SnapshotInner {
     /// stale compilations can never outlive the label space they were
     /// resolved against.
     compiled: OnceLock<Arc<CompiledPlanCache>>,
-    /// The snapshot's effective cardinality threshold (the configured
-    /// `card_threshold`, escalated until the expansion fits
-    /// `max_ept_nodes`). Resolved once per snapshot and injected into
-    /// every matcher handed out, so the per-query cold path never pays
-    /// the counting passes itself.
-    eff_threshold: OnceLock<f64>,
 }
 
 impl SynopsisSnapshot {
@@ -615,30 +605,18 @@ impl SynopsisSnapshot {
     }
 
     /// A streaming matcher over this snapshot, with the snapshot's shared
-    /// compiled-query cache installed (so
-    /// [`StreamingMatcher::estimate_plan`] reuses label-resolved
-    /// compilations across all matchers of this snapshot). Each worker
-    /// thread should hold its own matcher (scratch buffers are
-    /// per-matcher); the underlying snapshot data is shared.
+    /// frontier memo (built on first use) and compiled-query cache
+    /// installed, so every matcher of this snapshot replays one recorded
+    /// expansion and reuses label-resolved compilations
+    /// ([`StreamingMatcher::estimate_plan`]). Each worker thread should
+    /// hold its own matcher (scratch buffers are per-matcher); the
+    /// underlying snapshot data is shared.
     pub fn matcher(&self) -> StreamingMatcher<'_> {
         let mut matcher =
             StreamingMatcher::new(self.frozen(), self.names(), self.config(), self.het());
+        matcher.set_frontier_memo(self.frontier_memo().clone());
         matcher.set_compiled_cache(self.compiled_cache().clone());
-        matcher.set_effective_card_threshold(self.effective_card_threshold());
         matcher
-    }
-
-    /// The snapshot's effective cardinality threshold: the configured
-    /// `card_threshold`, escalated until the traveler's expansion fits
-    /// within `max_ept_nodes` nodes (see
-    /// [`crate::config::XseedConfig::max_ept_nodes`]). Resolved by
-    /// query-independent counting passes on first use and cached for the
-    /// snapshot's lifetime.
-    pub(crate) fn effective_card_threshold(&self) -> f64 {
-        *self.inner.eff_threshold.get_or_init(|| {
-            StreamingMatcher::new(self.frozen(), self.names(), self.config(), self.het())
-                .effective_card_threshold()
-        })
     }
 
     /// Counters of the compiled-query cache **without forcing its
@@ -664,26 +642,16 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// The matcher a batch of `batch_len` queries should use — the single
-    /// home of the memo-activation policy: for real batches, the
-    /// snapshot's shared frontier memo is installed (built on first use
-    /// and cached for the snapshot's lifetime) so every query replays it;
-    /// 0/1 queries get the cold streaming pass. Singles stay cold even
-    /// when a memo already exists because a lone query is cheaper without
-    /// the replay setup; the choice is purely a performance knob, since
-    /// both paths walk the same frontier (the expansion is a
-    /// deterministic function of the snapshot + config + HET, threshold
-    /// escalation included).
-    pub fn matcher_for_batch(&self, batch_len: usize) -> StreamingMatcher<'_> {
-        let mut matcher = self.matcher();
-        if batch_len > 1 {
-            matcher.set_frontier_memo(self.frontier_memo().clone());
-        }
-        matcher
+    /// [`SynopsisSnapshot::matcher`]: every estimate replays the
+    /// snapshot's frontier memo whatever the batch length, so `_batch_len`
+    /// is ignored. Kept for callers written against the length-based
+    /// signature.
+    pub fn matcher_for_batch(&self, _batch_len: usize) -> StreamingMatcher<'_> {
+        self.matcher()
     }
 
-    /// The shared frontier memo (the traveler's expansion recorded once),
-    /// built on first use.
+    /// The shared frontier memo (the traveler's expansion recorded once
+    /// per snapshot), built on first use.
     pub fn frontier_memo(&self) -> &Arc<FrontierMemo> {
         self.inner.memo.get_or_init(|| {
             Arc::new(FrontierMemo::build(
@@ -717,16 +685,15 @@ impl SynopsisSnapshot {
 
     /// Estimates one cached plan in bound mode through the snapshot's
     /// compiled-query cache (see
-    /// [`StreamingMatcher::estimate_plan_bound`]).
+    /// [`StreamingMatcher::estimate_plan_bound_timed`]).
     pub fn estimate_plan_bound(&self, plan: &xpathkit::QueryPlan) -> BoundedEstimate {
-        self.matcher().estimate_plan_bound(plan)
+        self.matcher().estimate_plan_bound_timed(plan).0
     }
 
-    /// Estimates a batch of queries over the shared frontier memo,
-    /// returning estimates in input order. Matcher selection follows
-    /// [`SynopsisSnapshot::matcher_for_batch`].
+    /// Estimates a batch of queries with one matcher over the shared
+    /// frontier memo, returning estimates in input order.
     pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
-        let mut matcher = self.matcher_for_batch(exprs.len());
+        let mut matcher = self.matcher();
         exprs.iter().map(|q| matcher.estimate(q)).collect()
     }
 }

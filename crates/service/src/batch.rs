@@ -1,13 +1,13 @@
-//! The batch executor: many queries, one snapshot pass.
+//! The batch executor: many queries, one matcher.
 //!
-//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] with the
-//! snapshot's shared [`xseed_core::FrontierMemo`] installed: the
-//! traveler's expansion is recorded once per snapshot epoch and each query
-//! replays it, skipping the per-node footprint arithmetic and recursion
-//! tracking of the cold pass. The matcher's scratch buffers stay warm
-//! across the whole batch. Batches homogeneous in query class get the
-//! best locality (simple paths may even short-circuit through the HET),
-//! but heterogeneity only costs the reuse, never correctness.
+//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] from
+//! [`SynopsisSnapshot::matcher`]: like every estimate, each query replays
+//! the snapshot's shared [`xseed_core::FrontierMemo`] (the traveler's
+//! expansion, recorded once per snapshot epoch), and the matcher's
+//! scratch buffers stay warm across the whole batch. Batches homogeneous
+//! in query class get the best locality (simple paths may even
+//! short-circuit through the HET), but heterogeneity only costs the
+//! reuse, never correctness.
 //!
 //! Plans are estimated through the snapshot's compiled-query cache
 //! ([`xseed_core::CompiledPlanCache`]): a plan seen before on this
@@ -43,15 +43,8 @@ pub struct FeedbackItem {
     pub base: Option<u64>,
 }
 
-/// Estimates every plan of `batch` over one snapshot pass, returning the
-/// estimates in input order. Matcher selection (memoized replay vs cold
-/// pass) is the snapshot's policy — [`SynopsisSnapshot::matcher_for_batch`]
-/// — decided by `policy_len`: the length of the whole *logical* batch,
-/// which exceeds `batch.len()` when a service batch was chunked across
-/// workers. Deciding on the logical length keeps every chunk of one
-/// batch on the same matcher kind, so the memo build cost is paid (or
-/// skipped) coherently for the whole logical batch; the memoized and
-/// cold frontiers themselves are always identical.
+/// Estimates every plan of `batch` with one matcher over `snapshot`,
+/// returning the estimates in input order.
 ///
 /// With `obs` present, each plan's compilation (compiled-cache misses
 /// only, captured inside the miss closure by
@@ -66,10 +59,9 @@ pub struct FeedbackItem {
 pub fn execute_batch_observed(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
-    policy_len: usize,
     obs: &Option<Arc<Obs>>,
 ) -> Vec<f64> {
-    let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
+    let mut matcher = snapshot.matcher();
     let Some(obs) = obs else {
         return batch
             .iter()
@@ -109,13 +101,13 @@ mod tests {
             .iter()
             .map(|q| Arc::new(QueryPlan::parse(q).unwrap()))
             .collect();
-        let batch = execute_batch_observed(&snapshot, &plans, plans.len(), &None);
+        let batch = execute_batch_observed(&snapshot, &plans, &None);
         for (plan, got) in plans.iter().zip(&batch) {
             let expected = synopsis.estimate(plan.expr());
             assert!((expected - got).abs() < 1e-9, "{}", plan.text());
         }
         // Single-plan batches work too.
-        let single = execute_batch_observed(&snapshot, &plans[..1], 1, &None);
+        let single = execute_batch_observed(&snapshot, &plans[..1], &None);
         assert!((single[0] - batch[0]).abs() < 1e-12);
     }
 }

@@ -19,9 +19,9 @@
 //! * [`plan_cache`] — a sharded LRU [`PlanCache`] from query text to
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
 //!   skip the parser across all worker threads without a global lock.
-//! * [`batch`] — the batch executor: one snapshot pass per batch via the
+//! * [`batch`] — the batch executor: one matcher per batch, replaying the
 //!   snapshot's shared frontier memo (the traveler's expansion recorded
-//!   once per epoch, replayed per query).
+//!   once per epoch) like every estimate.
 //! * [`service`] — the [`Service`] front end: admission control that
 //!   sheds excess load with [`ServiceError::Overloaded`], and a worker
 //!   thread pool with per-worker **bounded** request queues and work

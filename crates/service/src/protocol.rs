@@ -122,9 +122,6 @@ pub struct ProtocolOptions {
     /// explicitly (`--allow-fs-load`), since it lets any connected client
     /// read server-side files into a synopsis.
     pub allow_fs_load: bool,
-    /// Upper bound accepted for `builtin:<dataset>@<scale>`, bounding the
-    /// memory a single LOAD can make the generator allocate.
-    pub max_builtin_scale: f64,
     /// Maximum number of catalog documents `LOAD` may create in this
     /// session's catalog (`None` = unlimited). Re-LOADing an existing
     /// name never counts against it. Bounds total server memory a
@@ -150,19 +147,17 @@ impl ProtocolOptions {
     pub fn local() -> Self {
         ProtocolOptions {
             allow_fs_load: true,
-            max_builtin_scale: 4.0,
             max_documents: None,
             auto_maintenance: None,
             build_partitions: None,
         }
     }
 
-    /// Policy for a network session: no filesystem loads, capped builtin
-    /// scales.
+    /// Policy for a network session: no filesystem loads, a capped
+    /// document count.
     pub fn remote() -> Self {
         ProtocolOptions {
             allow_fs_load: false,
-            max_builtin_scale: 4.0,
             max_documents: Some(64),
             auto_maintenance: None,
             build_partitions: None,
@@ -296,7 +291,7 @@ fn handle_load(service: &Service, args: &str, options: &ProtocolOptions) -> Resp
         }
     };
     let (synopsis, document) = if let Some(builtin) = spec.strip_prefix("builtin:") {
-        match build_builtin(builtin, recursive, options) {
+        match build_builtin(builtin, recursive) {
             Ok((doc, config)) => {
                 let synopsis = build(&doc, config);
                 (synopsis, retain.then(|| Arc::new(doc)))
@@ -375,11 +370,11 @@ fn handle_load(service: &Service, args: &str, options: &ProtocolOptions) -> Resp
     Response::ok(body)
 }
 
-fn build_builtin(
-    spec: &str,
-    recursive: bool,
-    options: &ProtocolOptions,
-) -> Result<(Document, XseedConfig), String> {
+/// Upper bound accepted for `builtin:<dataset>@<scale>`, bounding the
+/// memory a single LOAD can make the generator allocate.
+const MAX_BUILTIN_SCALE: f64 = 4.0;
+
+fn build_builtin(spec: &str, recursive: bool) -> Result<(Document, XseedConfig), String> {
     let (name, scale) = match spec.split_once('@') {
         Some((n, s)) => {
             let scale: f64 = s
@@ -408,10 +403,9 @@ fn build_builtin(
         return Ok((doc, config));
     }
     let scale = scale.unwrap_or(0.1);
-    if !scale.is_finite() || scale <= 0.0 || scale > options.max_builtin_scale {
+    if !scale.is_finite() || scale <= 0.0 || scale > MAX_BUILTIN_SCALE {
         return Err(format!(
-            "builtin scale {scale} out of range (0, {}]",
-            options.max_builtin_scale
+            "builtin scale {scale} out of range (0, {MAX_BUILTIN_SCALE}]"
         ));
     }
     let dataset = match name.to_ascii_lowercase().as_str() {
@@ -1457,6 +1451,42 @@ mod tests {
             "{metrics}"
         );
         assert!(reply(&service, "METRICS json").starts_with("ERR METRICS takes no"));
+    }
+
+    #[test]
+    fn compile_stage_counts_every_compiled_cache_miss() {
+        // Point, bound, and batched estimates each time a compiled-cache
+        // miss into the compile stage, so its sample count is the summed
+        // per-document compiled_misses.
+        let service = service();
+        assert!(reply(&service, "LOAD f4 builtin:figure4").starts_with("OK "));
+        for line in [
+            "EST fig2 /a/c/s",
+            "EST fig2 /a/c/s",
+            "EST fig2 mode=bound //p",
+            "EST fig2 mode=bound //p",
+            "EST f4 mode=bound /a/b/d[f]/e",
+            "BATCH fig2 /a/c/s ; //s//p ; /a/c/s[t]/p",
+            "BATCH f4 /a/c/d/f ; //d[e][f]",
+        ] {
+            assert!(reply(&service, line).starts_with("OK "), "{line}");
+        }
+        let stats = reply(&service, "STATS");
+        let misses: u64 = stats
+            .split("compiled_misses=")
+            .skip(1)
+            .map(|rest| {
+                let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse::<u64>().unwrap()
+            })
+            .sum();
+        assert_eq!(misses, 7, "{stats}");
+        let metrics = reply(&service, "METRICS");
+        let compiles = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("xseed_stage_latency_ns_count{stage=\"compile\"} "))
+            .expect("compile stage row");
+        assert_eq!(compiles, misses.to_string(), "{metrics}");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! epoch the request was resolved at.
 //!
 //! Batches are split into per-worker chunks ([`Service::estimate_batch`]),
-//! each executed as one snapshot pass over the shared frontier memo (see
-//! [`crate::batch`]); the memo is built once per snapshot epoch and shared
-//! by all workers. [`Service::submit`] / [`Service::submit_pinned`] queue
+//! each executed by one matcher (see [`crate::batch`]). Every estimate,
+//! batched or single, replays the snapshot's frontier memo, which the
+//! first estimate after an epoch bump builds and every worker then
+//! shares. [`Service::submit`] / [`Service::submit_pinned`] queue
 //! a single query and return without waiting.
 //!
 //! A single estimate whose caller waits for it ([`Service::estimate`],
@@ -137,11 +138,6 @@ pub struct ServiceConfig {
     /// without bound; a single batch larger than one queue's budget can
     /// never be admitted. See the module docs.
     pub queue_capacity: usize,
-    /// Total plan-cache capacity (plans), spread over the cache shards.
-    pub plan_cache_capacity: usize,
-    /// Plan-cache shards; defaults to `4 × workers` to keep shard
-    /// contention negligible.
-    pub plan_cache_shards: usize,
     /// Whether the observability layer (per-stage latency histograms,
     /// q-error tracking, the event trace ring — see [`crate::metrics`])
     /// is enabled. On by default; when off, no [`Obs`] registry is
@@ -152,14 +148,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A configuration with `workers` worker threads and defaults for the
-    /// queue budget and plan cache.
+    /// queue budget and observability.
     pub fn with_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
         ServiceConfig {
-            workers,
+            workers: workers.max(1),
             queue_capacity: 1024,
-            plan_cache_capacity: 4096,
-            plan_cache_shards: workers * 4,
             observability: true,
         }
     }
@@ -191,9 +184,9 @@ impl Default for ServiceConfig {
 struct Job {
     snapshot: SynopsisSnapshot,
     plans: Vec<Arc<QueryPlan>>,
-    /// Length of the whole logical batch this job is a chunk of; drives
-    /// the memo policy uniformly across all chunks (see
-    /// [`execute_batch_observed`]).
+    /// Length of the whole logical batch this job is a chunk of; chunks
+    /// of a real batch (more than one query) are timed into
+    /// [`Stage::BatchChunk`].
     batch_len: usize,
     chunk: usize,
     reply: mpsc::Sender<(usize, Vec<f64>)>,
@@ -491,8 +484,7 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
         match shared.pop_own(id).or_else(|| shared.steal(id)) {
             Some(Work::Estimate(job)) => {
                 let started = Instant::now();
-                let results =
-                    execute_batch_observed(&job.snapshot, &job.plans, job.batch_len, &shared.obs);
+                let results = execute_batch_observed(&job.snapshot, &job.plans, &shared.obs);
                 if job.batch_len > 1 {
                     if let Some(obs) = &shared.obs {
                         obs.record(Stage::BatchChunk, started.elapsed());
@@ -710,6 +702,12 @@ pub struct Service {
     obs: Option<Arc<Obs>>,
 }
 
+/// Total plan-cache capacity, in plans, spread over the cache shards.
+const PLAN_CACHE_CAPACITY: usize = 4096;
+
+/// Plan-cache shards per worker, keeping shard contention negligible.
+const PLAN_CACHE_SHARDS_PER_WORKER: usize = 4;
+
 impl Service {
     /// Starts a service with `config.workers` worker threads reading from
     /// `catalog`.
@@ -769,7 +767,7 @@ impl Service {
         Service {
             catalog,
             plans: Arc::new(
-                PlanCache::new(config.plan_cache_shards, config.plan_cache_capacity)
+                PlanCache::new(workers * PLAN_CACHE_SHARDS_PER_WORKER, PLAN_CACHE_CAPACITY)
                     .with_obs(obs.clone()),
             ),
             shared,
@@ -992,7 +990,7 @@ impl Service {
     /// estimation use [`Service::submit`] instead.
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
         self.run_inline(doc, query, |snapshot, plan| {
-            execute_batch_observed(snapshot, std::slice::from_ref(plan), 1, &self.obs)[0]
+            execute_batch_observed(snapshot, std::slice::from_ref(plan), &self.obs)[0]
         })
     }
 
@@ -1001,12 +999,22 @@ impl Service {
     /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs on the
     /// calling thread through the snapshot's compiled-query cache, with
     /// the same admission control and counters as [`Service::estimate`].
+    /// A compiled-cache miss is timed into [`Stage::Compile`] and left out
+    /// of [`Stage::Estimate`], as for point estimates.
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
         self.run_inline(doc, query, |snapshot, plan| {
+            let mut matcher = snapshot.matcher();
             let started = Instant::now();
-            let bounded = snapshot.estimate_plan_bound(plan);
+            let (bounded, compiled) = matcher.estimate_plan_bound_timed(plan);
             if let Some(obs) = &self.obs {
-                obs.record(Stage::Estimate, started.elapsed());
+                let compile_time = compiled.unwrap_or_default();
+                if compiled.is_some() {
+                    obs.record(Stage::Compile, compile_time);
+                }
+                obs.record(
+                    Stage::Estimate,
+                    started.elapsed().saturating_sub(compile_time),
+                );
             }
             bounded
         })

@@ -26,10 +26,7 @@ fn scenario(dataset: Dataset, scale: f64) -> (XseedSynopsis, Vec<PathExpr>) {
     let synopsis = XseedSynopsis::build(&doc, config);
     let workload = WorkloadGenerator::new(&doc, 0xC0FFEE).generate(&WorkloadSpec::small());
     let queries: Vec<PathExpr> = workload.all().cloned().collect();
-    assert!(
-        queries.len() > 1,
-        "the memoized batch path needs a real batch"
-    );
+    assert!(queries.len() > 1, "the workload needs a real batch");
     (synopsis, queries)
 }
 
@@ -39,7 +36,7 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
     let (synopsis, queries) = scenario(dataset, scale);
     let snapshot: SynopsisSnapshot = synopsis.snapshot();
 
-    // Single-threaded reference over the same snapshot (cold matcher).
+    // Single-threaded reference over the same snapshot.
     let reference: Vec<u64> = {
         let mut matcher = snapshot.matcher();
         queries
@@ -55,13 +52,18 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
                 let snapshot = snapshot.clone();
                 let queries = queries.clone();
                 scope.spawn(move || {
-                    // Half the threads use the shared-memo batch path (a
-                    // batch of more than one query), half the cold
-                    // streaming path — both must agree bit-exactly.
+                    // Half the threads replay the snapshot's shared memo,
+                    // half a memo their own matcher builds — both must
+                    // agree bit-exactly.
                     let mut matcher = if i % 2 == 0 {
-                        snapshot.matcher_for_batch(queries.len())
-                    } else {
                         snapshot.matcher()
+                    } else {
+                        xseed_core::StreamingMatcher::new(
+                            snapshot.frozen(),
+                            snapshot.names(),
+                            snapshot.config(),
+                            snapshot.het(),
+                        )
                     };
                     queries
                         .iter()

@@ -268,7 +268,9 @@ proptest! {
     /// queries — including under a tiny `max_ept_nodes`, where the old
     /// hard cap used to let the two paths truncate at different frontiers
     /// (those cases were skipped here before threshold escalation made
-    /// the frontier a pure function of the snapshot).
+    /// the frontier a pure function of the snapshot). The snapshot's
+    /// frontier memo records exactly the oracle's EPT, which pins the
+    /// memo walk's threshold escalation to the traveler's.
     #[test]
     fn streaming_equals_materialized_oracle(
         doc in arb_document(),
@@ -284,6 +286,7 @@ proptest! {
             for synopsis in [&bare, &with_het] {
                 let oracle = synopsis.estimator();
                 prop_assert!(oracle.ept_len() <= synopsis.config().max_ept_nodes.max(1));
+                prop_assert_eq!(synopsis.snapshot().frontier_memo().len(), oracle.ept_len());
                 let mut streaming = synopsis.streaming_matcher();
                 for query in &queries {
                     let expected = oracle.estimate(query);
