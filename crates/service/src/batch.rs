@@ -1,7 +1,10 @@
 //! The batch executor: many queries, one matcher.
 //!
-//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] from
-//! [`SynopsisSnapshot::matcher`]: like every estimate, each query replays
+//! A batch — or, for a batch large enough to fan out, each per-worker
+//! chunk of it — is estimated by a single [`xseed_core::StreamingMatcher`]
+//! from [`SynopsisSnapshot::matcher`], on whichever thread runs it: the
+//! thread that read the request, or a worker. Like every estimate, each
+//! query replays
 //! the snapshot's shared [`xseed_core::FrontierMemo`] (the traveler's
 //! expansion, recorded once per snapshot epoch), and the matcher's
 //! scratch buffers stay warm across the whole batch. Batches homogeneous

@@ -61,10 +61,12 @@ pub enum Stage {
     /// (compiled-cache miss path).
     Compile,
     /// One query's estimate, batched or not: on a worker for queued jobs
-    /// (`BATCH` chunks, [`crate::Service::submit`]), on the calling
-    /// thread for a single `EST`.
+    /// (chunks of a fanned-out `BATCH`, [`crate::Service::submit`]), on
+    /// the calling thread for a single `EST` and a `BATCH` below the
+    /// fan-out threshold.
     Estimate,
-    /// One whole batch chunk executed by a worker (multi-query jobs only).
+    /// One whole multi-query job: a `BATCH` run on the calling thread, or
+    /// one chunk of a fanned-out `BATCH` on a worker.
     BatchChunk,
     /// One `FEEDBACK` observation applied through the catalog.
     FeedbackApply,

@@ -8,9 +8,13 @@
 //! connection over nonblocking sockets, so ten thousand mostly-idle
 //! optimizer sessions cost ten thousand small buffers, not ten thousand
 //! threads. The loop thread reads lines, runs each through the protocol
-//! handler synchronously, and shuttles bytes: a single `EST` is estimated
-//! on the loop thread itself, and only a `BATCH` fans its chunks out
-//! across the [`Service`] worker pool (the loop waits for them).
+//! handler synchronously, and shuttles bytes: a single `EST` and every
+//! `BATCH` below the service's fan-out threshold (1,024 queries with two
+//! or more workers, never with one) are estimated on the loop thread
+//! itself; only a `BATCH` that large fans its chunks out across the
+//! [`Service`] worker pool (the loop waits for them). Idle and drain
+//! deadlines cost the loop nothing per wakeup: it keeps a lower bound on
+//! the earliest one and walks its connections only once that has passed.
 //!
 //! Per connection the loop keeps a read buffer and a write buffer, which
 //! buys the semantics a blocking thread-per-connection design gets for
@@ -166,7 +170,8 @@ impl TcpServer {
 
     /// Runs the event loop forever, serving every connection multiplexed
     /// over one poller. Requests run synchronously on the loop thread: a
-    /// single `EST` is estimated there, a `BATCH` waits for its chunks on
+    /// single `EST` and a `BATCH` below the fan-out threshold are
+    /// estimated there, a larger `BATCH` waits for its chunks on
     /// `service`'s worker pool. Returns only if the poller or listener
     /// fails fatally at setup; accept-time errors are reported on stderr
     /// and survived.
@@ -224,6 +229,18 @@ struct Conn {
     interest: Interest,
 }
 
+/// The instant `conn` must be dealt with without client I/O: its drain
+/// grace expiring, or else its idle timeout.
+fn deadline(conn: &Conn, idle_timeout: Option<Duration>) -> Option<Instant> {
+    conn.draining
+        .or_else(|| idle_timeout.map(|idle| conn.last_activity + idle))
+}
+
+/// Lowers the event loop's deadline floor to `deadline` if it is earlier.
+fn lower_floor(floor: &mut Option<Instant>, deadline: Instant) {
+    *floor = Some(floor.map_or(deadline, |floor| floor.min(deadline)));
+}
+
 impl Conn {
     fn pending_write(&self) -> usize {
         self.write_buf.len() - self.sent
@@ -243,6 +260,12 @@ struct EventLoop {
     service: Arc<Service>,
     config: ServerConfig,
     conns: HashMap<u64, Conn>,
+    /// A lower bound on the earliest idle or drain deadline of any
+    /// connection (`None`: no connection has one). Lowered when a
+    /// connection is accepted or starts draining; a connection's idle
+    /// deadline only moves later, so the bound stays valid until it
+    /// passes, and only then does the loop walk every connection.
+    deadline_floor: Option<Instant>,
     next_token: u64,
     /// Whether the previous accept was refused, so the trace ring records
     /// the transition into (and out of) connection shedding rather than
@@ -286,6 +309,7 @@ impl EventLoop {
             service,
             config,
             conns: HashMap::new(),
+            deadline_floor: None,
             next_token: LISTENER_TOKEN + 1,
             refusing: false,
             limiter_template,
@@ -299,7 +323,7 @@ impl EventLoop {
         let mut events = Vec::new();
         loop {
             let timeout = self
-                .next_deadline()
+                .deadline_floor
                 .map(|deadline| deadline.saturating_duration_since(Instant::now()));
             self.poller.wait(&mut events, timeout)?;
             for event in &events {
@@ -324,32 +348,15 @@ impl EventLoop {
         }
     }
 
-    /// The next instant something must happen without client I/O: an
-    /// idle session timing out or a draining session's grace expiring.
-    fn next_deadline(&self) -> Option<Instant> {
-        let mut next: Option<Instant> = None;
-        for conn in self.conns.values() {
-            let deadline = match conn.draining {
-                Some(drain) => Some(drain),
-                None => self
-                    .config
-                    .idle_timeout
-                    .map(|idle| conn.last_activity + idle),
-            };
-            if let Some(d) = deadline {
-                next = Some(match next {
-                    Some(n) => n.min(d),
-                    None => d,
-                });
-            }
-        }
-        next
-    }
-
-    /// Expires idle sessions (with a goodbye) and force-closes draining
-    /// sessions whose grace ran out.
+    /// Once the deadline floor has passed: expires idle sessions (with a
+    /// goodbye), force-closes draining sessions whose grace ran out, and
+    /// resets the floor to the earliest deadline left. Before that, no
+    /// deadline can be due and the call costs one comparison.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
+        if self.deadline_floor.is_none_or(|floor| now < floor) {
+            return;
+        }
         let mut idle = Vec::new();
         let mut dead = Vec::new();
         for (&token, conn) in &self.conns {
@@ -372,6 +379,12 @@ impl EventLoop {
                 self.flush(token);
             }
         }
+        let idle_timeout = self.config.idle_timeout;
+        self.deadline_floor = self
+            .conns
+            .values()
+            .filter_map(|conn| deadline(conn, idle_timeout))
+            .min();
     }
 
     /// Accepts every pending connection (level-triggered, so stopping at
@@ -432,21 +445,22 @@ impl EventLoop {
             {
                 continue;
             }
-            self.conns.insert(
-                token,
-                Conn {
-                    stream,
-                    read_buf: Vec::new(),
-                    write_buf: Vec::new(),
-                    sent: 0,
-                    last_activity: Instant::now(),
-                    limiter: self.limiter_template.clone(),
-                    limited: false,
-                    peer_eof: false,
-                    draining: None,
-                    interest: Interest::READABLE,
-                },
-            );
+            let conn = Conn {
+                stream,
+                read_buf: Vec::new(),
+                write_buf: Vec::new(),
+                sent: 0,
+                last_activity: Instant::now(),
+                limiter: self.limiter_template.clone(),
+                limited: false,
+                peer_eof: false,
+                draining: None,
+                interest: Interest::READABLE,
+            };
+            if let Some(idle_at) = deadline(&conn, self.config.idle_timeout) {
+                lower_floor(&mut self.deadline_floor, idle_at);
+            }
+            self.conns.insert(token, conn);
         }
     }
 
@@ -576,6 +590,9 @@ impl EventLoop {
             // close.
             conn.read_buf.clear();
             conn.draining = Some(Instant::now() + DRAIN_GRACE);
+        }
+        if let Some(drain_at) = conn.draining {
+            lower_floor(&mut self.deadline_floor, drain_at);
         }
         self.flush(token);
     }

@@ -14,18 +14,21 @@
 //! immune to concurrent `LOAD`s/updates: they estimate against whatever
 //! epoch the request was resolved at.
 //!
-//! Batches are split into per-worker chunks ([`Service::estimate_batch`]),
-//! each executed by one matcher (see [`crate::batch`]). Every estimate,
-//! batched or single, replays the snapshot's frontier memo, which the
-//! first estimate after an epoch bump builds and every worker then
-//! shares. [`Service::submit`] / [`Service::submit_pinned`] queue
-//! a single query and return without waiting.
+//! Every estimate, batched or single, replays the snapshot's frontier
+//! memo, which the first estimate after an epoch bump builds and every
+//! thread then shares; a batch runs through one matcher (see
+//! [`crate::batch`]). [`Service::submit`] / [`Service::submit_pinned`]
+//! queue a single query and return without waiting.
 //!
-//! A single estimate whose caller waits for it ([`Service::estimate`],
-//! [`Service::estimate_bound`]) does **not** queue: handing it to a worker
-//! would add a queue push, two condvar wake-ups and a reply channel while
-//! the caller sat idle. It runs on the calling thread instead, under the
-//! same admission budget and counters as a one-query job.
+//! Work whose caller waits for it ([`Service::estimate`],
+//! [`Service::estimate_bound`], and a [`Service::estimate_batch`] too
+//! small to give every chunk `MIN_CHUNK` (512) queries) does **not** queue:
+//! handing it to a worker would add a queue push, condvar wake-ups and a
+//! reply channel while the caller sat idle. It runs on the calling thread
+//! instead, under the same admission budget and counters as a one-chunk
+//! job. Only a batch of at least `2 × MIN_CHUNK` queries on a
+//! multi-worker service is split into per-worker chunks, which pays for
+//! the handoffs by running on several cores at once.
 //!
 //! ## Backpressure and admission control
 //!
@@ -74,6 +77,26 @@ use std::time::{Duration, Instant};
 use xpathkit::{ParseError, QueryPlan};
 use xseed_core::SynopsisSnapshot;
 use xseed_core::{BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats};
+
+/// The fewest queries a worker chunk may get: [`Service::estimate_batch`]
+/// splits a batch of `n` queries into `min(workers, n / MIN_CHUNK)`
+/// chunks and runs it on the calling thread when that is one or none.
+/// Half the smallest batch (1,024) at which two workers beat one thread
+/// in at least 9 of 10 runs on both XMark and Treebank in half of the
+/// 2-CPU run sets that forced the split at every size; up to 256 queries
+/// they won at most half the runs, the queue push, wake-ups and reply
+/// channel of a handoff costing more than the second core saves. The
+/// `batch_split` rows of `BENCH_concurrent_throughput.json` show the
+/// split as built.
+const MIN_CHUNK: usize = 512;
+
+/// How work run on the calling thread reserves budget: `n` queries are
+/// spread over `min(workers, ceil(n / RESERVE_PIECE))` queues, all or
+/// nothing — the split every batch was admitted by when all of them fanned
+/// out, so the same batches are admitted and shed. A batch that does fan
+/// out reserves one piece per chunk, on the queue the chunk is pushed to;
+/// with two workers both splits are the same.
+const RESERVE_PIECE: usize = 8;
 
 /// Fallback interval at which an idle worker re-checks its siblings'
 /// queues for stealable work. Pushes notify the target queue *and* one
@@ -181,13 +204,10 @@ impl Default for ServiceConfig {
 
 /// One self-contained unit of work: estimate `plans` against `snapshot`
 /// and send the results (tagged with `chunk` for reassembly) to `reply`.
+/// Multi-query jobs (batch chunks) are timed into [`Stage::BatchChunk`].
 struct Job {
     snapshot: SynopsisSnapshot,
     plans: Vec<Arc<QueryPlan>>,
-    /// Length of the whole logical batch this job is a chunk of; chunks
-    /// of a real batch (more than one query) are timed into
-    /// [`Stage::BatchChunk`].
-    batch_len: usize,
     chunk: usize,
     reply: mpsc::Sender<(usize, Vec<f64>)>,
 }
@@ -246,6 +266,12 @@ impl Shared {
 
     fn release(&self, queue: usize, cost: usize) {
         self.queues[queue].depth.fetch_sub(cost, Ordering::Relaxed);
+    }
+
+    fn release_all(&self, placements: &[(usize, usize)]) {
+        for &(queue, cost) in placements {
+            self.release(queue, cost);
+        }
     }
 
     fn total_queued(&self) -> usize {
@@ -485,7 +511,7 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             Some(Work::Estimate(job)) => {
                 let started = Instant::now();
                 let results = execute_batch_observed(&job.snapshot, &job.plans, &shared.obs);
-                if job.batch_len > 1 {
+                if job.plans.len() > 1 {
                     if let Some(obs) = &shared.obs {
                         obs.record(Stage::BatchChunk, started.elapsed());
                     }
@@ -611,15 +637,16 @@ pub struct ServiceStats {
     /// Per-worker queue budget, in queries.
     pub queue_capacity: usize,
     /// Estimates executed per queue slot (index = worker id). Queued work
-    /// counts in the slot of the worker that ran it; a single estimate run
-    /// on the calling thread ([`Service::estimate`],
-    /// [`Service::estimate_bound`]) counts in the slot of the queue whose
-    /// budget it reserved.
+    /// counts in the slot of the worker that ran it; work run on the
+    /// calling thread ([`Service::estimate`], [`Service::estimate_bound`],
+    /// a batch below the fan-out threshold) counts in the slot of the
+    /// first queue whose budget it reserved.
     pub executed: Vec<u64>,
     /// Jobs a worker took from a sibling's queue.
     pub steals: u64,
-    /// Jobs executed in total (single estimates, inline or queued, count
-    /// as 1-query batches).
+    /// Jobs executed in total: a single estimate, inline or queued, is a
+    /// 1-query job; a batch run on the calling thread is one job, and a
+    /// batch that fans out is one job per chunk.
     pub batches: u64,
     /// Queries admitted by admission control since startup.
     pub accepted: u64,
@@ -935,7 +962,6 @@ impl Service {
             Work::Estimate(Job {
                 snapshot,
                 plans: vec![plan],
-                batch_len: 1,
                 chunk: 0,
                 reply: tx,
             }),
@@ -989,8 +1015,10 @@ impl Service {
     /// Callers that want the worker pool to cap the CPU spent on
     /// estimation use [`Service::submit`] instead.
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
-        self.run_inline(doc, query, |snapshot, plan| {
-            execute_batch_observed(snapshot, std::slice::from_ref(plan), &self.obs)[0]
+        let snapshot = self.resolve(doc)?;
+        let plan = self.plans.get_or_parse(query)?;
+        self.run_inline(&snapshot, &[plan], |snapshot, plans| {
+            execute_batch_observed(snapshot, plans, &self.obs)[0]
         })
     }
 
@@ -1002,10 +1030,12 @@ impl Service {
     /// A compiled-cache miss is timed into [`Stage::Compile`] and left out
     /// of [`Stage::Estimate`], as for point estimates.
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
-        self.run_inline(doc, query, |snapshot, plan| {
+        let snapshot = self.resolve(doc)?;
+        let plan = self.plans.get_or_parse(query)?;
+        self.run_inline(&snapshot, &[plan], |snapshot, plans| {
             let mut matcher = snapshot.matcher();
             let started = Instant::now();
-            let (bounded, compiled) = matcher.estimate_plan_bound_timed(plan);
+            let (bounded, compiled) = matcher.estimate_plan_bound_timed(&plans[0]);
             if let Some(obs) = &self.obs {
                 let compile_time = compiled.unwrap_or_default();
                 if compiled.is_some() {
@@ -1020,24 +1050,34 @@ impl Service {
         })
     }
 
-    /// Runs one single-query estimate on the calling thread: resolves the
-    /// snapshot and plan, reserves one query of budget, runs `estimate`,
-    /// then counts it as one executed query and one job in the reserved
-    /// queue's slot — what a worker counts for a one-plan job — and
-    /// releases the reservation.
+    /// Runs `plans` as one job on the calling thread: reserves their cost
+    /// (see `RESERVE_PIECE`), runs `estimate`, then counts what a worker
+    /// counts for a one-chunk job — the queries in the first reserved
+    /// queue's `executed` slot, one job in `batches`, and for more than
+    /// one query one [`Stage::BatchChunk`] sample — and releases the
+    /// reservation.
     fn run_inline<T>(
         &self,
-        doc: &str,
-        query: &str,
-        estimate: impl FnOnce(&SynopsisSnapshot, &Arc<QueryPlan>) -> T,
+        snapshot: &SynopsisSnapshot,
+        plans: &[Arc<QueryPlan>],
+        estimate: impl FnOnce(&SynopsisSnapshot, &[Arc<QueryPlan>]) -> T,
     ) -> Result<T, ServiceError> {
-        let snapshot = self.resolve(doc)?;
-        let plan = self.plans.get_or_parse(query)?;
-        let queue = self.admit_inline(1)?;
-        let result = estimate(&snapshot, &plan);
-        self.shared.executed[queue].fetch_add(1, Ordering::Relaxed);
+        let n = plans.len();
+        let placements = self.reserve(n, self.workers().min(n.div_ceil(RESERVE_PIECE)))?;
+        let chunk_timer = self
+            .obs
+            .as_ref()
+            .filter(|_| n > 1)
+            .map(|obs| (obs, Instant::now()));
+        let result = estimate(snapshot, plans);
+        if let Some((obs, started)) = chunk_timer {
+            obs.record(Stage::BatchChunk, started.elapsed());
+        }
+        if let Some(&(queue, _)) = placements.first() {
+            self.shared.executed[queue].fetch_add(n as u64, Ordering::Relaxed);
+        }
         self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        self.shared.release(queue, 1);
+        self.shared.release_all(&placements);
         Ok(result)
     }
 
@@ -1062,23 +1102,35 @@ impl Service {
         RebuildTicket { rx }
     }
 
-    /// Reserves `cost` queries of admission budget for work that runs on
-    /// the calling thread (single estimates and feedback): the same
-    /// backpressure that guards the queues, so a flooding client sheds with
-    /// [`ServiceError::Overloaded`] instead of consuming unbounded CPU.
-    /// Returns the queue whose budget was reserved; the caller must
-    /// release it.
-    fn admit_inline(&self, cost: usize) -> Result<usize, ServiceError> {
-        let preferred = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.workers();
-        let Some(queue) = self.shared.admit(preferred, cost, false) else {
-            return Err(self.shed(cost));
-        };
+    /// Reserves `cost` queries of admission budget split into `pieces`
+    /// near-equal parts on consecutive round-robin queues (each falling
+    /// back to siblings), all or nothing: when a part fits nowhere, every
+    /// part already reserved is released and the whole cost sheds with
+    /// [`ServiceError::Overloaded`]. The same backpressure guards queued
+    /// work and work run on the calling thread (estimates, feedback), so a
+    /// flooding client sheds instead of consuming unbounded CPU. Returns
+    /// the `(queue, cost)` parts; the caller releases them, or pushes one
+    /// job per part whose worker releases it.
+    fn reserve(&self, cost: usize, pieces: usize) -> Result<Vec<(usize, usize)>, ServiceError> {
+        let piece = cost.div_ceil(pieces);
+        let base = self.next_queue.fetch_add(pieces, Ordering::Relaxed);
+        let mut placements = Vec::with_capacity(pieces);
+        let mut left = cost;
+        while left > 0 {
+            let part = piece.min(left);
+            let Some(queue) = self.shared.admit(base + placements.len(), part, false) else {
+                self.shared.release_all(&placements);
+                return Err(self.shed(cost));
+            };
+            placements.push((queue, part));
+            left -= part;
+        }
         self.shared
             .accepted
             .fetch_add(cost as u64, Ordering::Relaxed);
         self.shared.note_admitted();
         self.shared.note_peak();
-        Ok(queue)
+        Ok(placements)
     }
 
     /// Feeds back the observed cardinality of an executed query — the
@@ -1104,7 +1156,7 @@ impl Service {
         base: Option<u64>,
     ) -> Result<ServiceFeedback, ServiceError> {
         let plan = self.plans.get_or_parse(query)?;
-        let queue = self.admit_inline(1)?;
+        let placements = self.reserve(1, 1)?;
         let started = Instant::now();
         let result = self
             .catalog
@@ -1113,7 +1165,7 @@ impl Service {
         if let Some(obs) = &self.obs {
             obs.record(Stage::FeedbackApply, started.elapsed());
         }
-        self.shared.release(queue, 1);
+        self.shared.release_all(&placements);
         let fb = result?;
         self.maintenance.note_outcome(fb.report.outcome);
         self.note_q_error(&fb.report, actual);
@@ -1146,7 +1198,7 @@ impl Service {
                 })
             })
             .collect::<Result<Vec<_>, ServiceError>>()?;
-        let queue = self.admit_inline(items.len())?;
+        let placements = self.reserve(items.len(), 1)?;
         let started = Instant::now();
         let result = self
             .catalog
@@ -1155,7 +1207,7 @@ impl Service {
         if let Some(obs) = &self.obs {
             obs.record(Stage::FeedbackApply, started.elapsed());
         }
-        self.shared.release(queue, items.len());
+        self.shared.release_all(&placements);
         let batch: CatalogFeedbackBatch = result?;
         for (report, item) in batch.reports.iter().zip(&items) {
             self.maintenance.note_outcome(report.outcome);
@@ -1187,52 +1239,42 @@ impl Service {
         }
     }
 
-    /// Estimates a batch of queries against one snapshot of `doc`,
-    /// splitting it into per-worker chunks that execute as shared-memo
-    /// snapshot passes. Results come back in input order. The whole batch
-    /// is resolved against a single epoch: a concurrent update to `doc`
-    /// never mixes epochs within one batch.
+    /// Estimates a batch of queries against one snapshot of `doc` as
+    /// shared-memo snapshot passes. Results come back in input order. The
+    /// whole batch is resolved against a single epoch: a concurrent
+    /// update to `doc` never mixes epochs within one batch.
     ///
-    /// Admission is all-or-nothing: either every chunk fits the queue
-    /// budgets and the batch runs whole, or nothing is enqueued and the
-    /// call sheds with [`ServiceError::Overloaded`]. A batch larger than
-    /// the total queue budget therefore always sheds — split it client
-    /// side.
+    /// A batch of `n` queries is split into `min(workers, n / MIN_CHUNK)`
+    /// per-worker chunks (`MIN_CHUNK` = 512). When that is one or none —
+    /// always under one worker — the batch runs whole on the calling
+    /// thread, which waits for it anyway, and counts as one job; larger
+    /// batches fan out across the worker pool and count one job per
+    /// chunk.
+    ///
+    /// Admission is all-or-nothing and happens before anything runs: the
+    /// batch's cost is spread over up to `workers` queue budgets (an
+    /// inline batch over `min(workers, ceil(n / 8))` of them, a fanned-out
+    /// one one per chunk), and either every part fits and the batch runs
+    /// whole, or nothing runs and the call sheds with
+    /// [`ServiceError::Overloaded`]. A batch larger than the total queue
+    /// budget therefore always sheds — split it client side.
     pub fn estimate_batch(&self, doc: &str, queries: &[&str]) -> Result<Vec<f64>, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plans = self.plans.get_or_parse_batch(queries)?;
         if plans.is_empty() {
             return Ok(Vec::new());
         }
-
-        // Per-worker chunks, but never so fine that queue/channel overhead
-        // dominates the estimates themselves.
-        const MIN_CHUNK: usize = 8;
-        let workers = self.workers();
-        let chunks = workers.min(plans.len().div_ceil(MIN_CHUNK)).max(1);
-        let chunk_size = plans.len().div_ceil(chunks);
+        let chunks = self.workers().min(plans.len() / MIN_CHUNK);
+        if chunks <= 1 {
+            return self.run_inline(&snapshot, &plans, |snapshot, plans| {
+                execute_batch_observed(snapshot, plans, &self.obs)
+            });
+        }
 
         // Reserve budget for every chunk before enqueueing anything, so a
         // shed batch leaves no partial work behind.
-        let base = self.next_queue.fetch_add(chunks, Ordering::Relaxed);
-        let mut placements: Vec<(usize, usize)> = Vec::with_capacity(chunks);
-        for (i, chunk) in plans.chunks(chunk_size).enumerate() {
-            match self.shared.admit(base + i, chunk.len(), false) {
-                Some(queue) => placements.push((queue, chunk.len())),
-                None => {
-                    for &(queue, cost) in &placements {
-                        self.shared.release(queue, cost);
-                    }
-                    return Err(self.shed(plans.len()));
-                }
-            }
-        }
-        self.shared
-            .accepted
-            .fetch_add(plans.len() as u64, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
-
+        let chunk_size = plans.len().div_ceil(chunks);
+        let placements = self.reserve(plans.len(), chunks)?;
         let (tx, rx) = mpsc::channel();
         for ((i, chunk), &(queue, _)) in plans.chunks(chunk_size).enumerate().zip(&placements) {
             self.shared.push(
@@ -1240,7 +1282,6 @@ impl Service {
                 Work::Estimate(Job {
                     snapshot: snapshot.clone(),
                     plans: chunk.to_vec(),
-                    batch_len: plans.len(),
                     chunk: i,
                     reply: tx.clone(),
                 }),
@@ -1248,7 +1289,7 @@ impl Service {
         }
         drop(tx);
 
-        let mut gathered: Vec<Option<Vec<f64>>> = vec![None; plans.len().div_ceil(chunk_size)];
+        let mut gathered: Vec<Option<Vec<f64>>> = vec![None; placements.len()];
         for _ in 0..gathered.len() {
             let (chunk, results) = rx.recv().map_err(|_| ServiceError::Disconnected)?;
             gathered[chunk] = Some(results);
@@ -1369,14 +1410,18 @@ mod tests {
     #[test]
     fn batch_preserves_input_order_across_chunks() {
         let service = fig2_service(4);
+        // Three chunks of uneven length (514, 514, 513): above the fan-out
+        // threshold, so the chunks really go through the worker queues.
         let queries: Vec<String> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*", "/a/*", "//p"]
             .iter()
             .cycle()
-            .take(48)
+            .take(3 * MIN_CHUNK + 5)
             .map(|q| q.to_string())
             .collect();
         let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
+        let before = service.stats().batches;
         let batch = service.estimate_batch("fig2", &refs).unwrap();
+        assert_eq!(service.stats().batches - before, 3, "one job per chunk");
         assert_eq!(batch.len(), refs.len());
         for (q, got) in refs.iter().zip(&batch) {
             let single = service.estimate("fig2", q).unwrap();
@@ -1681,6 +1726,51 @@ mod tests {
         assert_eq!(after.total_executed() - before.total_executed(), 2);
         assert_eq!(after.batches - before.batches, 2);
         assert_eq!(after.queued, 0);
+        drop(pauses);
+    }
+
+    #[test]
+    fn batches_below_the_fan_out_threshold_never_wait_for_a_worker() {
+        // 2 × MIN_CHUNK − 1 queries: the largest batch two workers still
+        // run on the calling thread.
+        let queries: Vec<&str> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*"]
+            .into_iter()
+            .cycle()
+            .take(2 * MIN_CHUNK - 1)
+            .collect();
+        let expected = fig2_service(2).estimate_batch("fig2", &queries).unwrap();
+
+        let service = Arc::new(fig2_service(2));
+        let pauses: Vec<WorkerPause> = (0..2).map(|q| service.pause_worker(q)).collect();
+        for pause in &pauses {
+            pause.wait_until_paused();
+        }
+        let before = service.stats();
+        let (tx, rx) = mpsc::channel();
+        let helper = {
+            let service = service.clone();
+            let queries = queries.clone();
+            std::thread::spawn(move || {
+                let _ = tx.send(service.estimate_batch("fig2", &queries).unwrap());
+            })
+        };
+        let batch = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a batch below the fan-out threshold must not wait for a worker");
+        helper.join().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&batch), bits(&expected));
+
+        // Counted as one worker counts a one-chunk job.
+        let after = service.stats();
+        let n = queries.len() as u64;
+        assert_eq!(after.accepted - before.accepted, n);
+        assert_eq!(after.total_executed() - before.total_executed(), n);
+        assert_eq!(after.batches - before.batches, 1);
+        assert_eq!(after.steals, before.steals);
+        assert_eq!(after.queued, 0);
+        let obs = service.obs().expect("observability is on by default");
+        assert_eq!(obs.latency(Stage::BatchChunk).count(), 1);
         drop(pauses);
     }
 

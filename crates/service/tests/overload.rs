@@ -162,9 +162,9 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
     assert_eq!(stats.queued, 0);
 }
 
-/// Shed batches are all-or-nothing: a fenced queue sheds an unfittable
-/// batch without enqueueing any chunk, and releases every reservation it
-/// took, so later (fitting) work is unaffected.
+/// Shed batches are all-or-nothing: an unfittable batch sheds before any
+/// of it runs, and releases every reservation it took, so later (fitting)
+/// work is unaffected.
 #[test]
 fn shed_batches_leave_no_partial_work() {
     let (catalog, texts) = xmark_catalog();
@@ -180,8 +180,9 @@ fn shed_batches_leave_no_partial_work() {
     pause0.wait_until_paused();
     pause1.wait_until_paused();
 
-    // 64 queries over 2 workers -> two 32-query chunks; neither fits a
-    // 16-query queue, so the whole batch sheds.
+    // 64 queries would run on the calling thread, but admission still
+    // spreads their cost over the 2 queues as two 32-query pieces;
+    // neither fits a 16-query queue, so the whole batch sheds.
     let err = service.estimate_batch("xmark", &big).unwrap_err();
     assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
     let stats = service.stats();

@@ -366,3 +366,63 @@ fn idle_sessions_time_out_with_a_goodbye() {
     assert_eq!(client.recv(), "ERR idle timeout, closing");
     assert_eq!(client.recv_eof(), None);
 }
+
+#[test]
+fn a_quit_session_that_never_reads_is_force_closed_after_its_drain_grace() {
+    // The server's drain grace (`DRAIN_GRACE` in server.rs); every idle
+    // deadline sits at the default 300 s idle timeout, minutes away.
+    const DRAIN_GRACE: Duration = Duration::from_secs(5);
+    let addr = spawn_server(ServerConfig {
+        max_connections: 2,
+        ..ServerConfig::default()
+    });
+    let mut stuck = Client::connect(addr);
+    let mut neighbour = Client::connect(addr);
+    for client in [&mut stuck, &mut neighbour] {
+        client.send("EST fig2 /a/c/s");
+        assert_eq!(client.recv(), "OK 5");
+    }
+    // One 16 KiB write the server reads whole: 2,000 METRICS requests
+    // whose ~8 MiB of replies overflow what the kernel buffers between
+    // the sockets while this client reads nothing, then QUIT. The session
+    // is over, but its final flush can never finish.
+    let mut burst = "METRICS\n".repeat(2_000);
+    burst.push_str("QUIT\n");
+    stuck.writer.write_all(burst.as_bytes()).unwrap();
+    let quit_sent = std::time::Instant::now();
+
+    // Both slots stay taken until the stuck session is force-closed; a
+    // probe admitted afterwards proves the slot was released.
+    loop {
+        let mut probe = Client::connect(addr);
+        // A refused probe may see its request reset instead of the
+        // refusal line, since the server closes without reading it.
+        let _ = writeln!(probe.writer, "EST fig2 /a/c/s");
+        let mut reply = String::new();
+        match probe.reader.read_line(&mut reply) {
+            Ok(_) if reply == "OK 5\n" => break,
+            Ok(_) => assert!(
+                reply.is_empty() || reply == "OVERLOADED connections=2 max=2\n",
+                "{reply}"
+            ),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+        }
+        assert!(
+            quit_sent.elapsed() < 3 * DRAIN_GRACE,
+            "the stuck session was not closed within its drain grace"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+
+    // The socket was closed before its replies drained: the stream ends
+    // (or resets) without the final `OK bye`.
+    let mut delivered = Vec::new();
+    let _ = stuck.reader.read_to_end(&mut delivered);
+    assert!(
+        !delivered.ends_with(b"OK bye\n"),
+        "every reply was delivered, so the session never had to be forced"
+    );
+    // The neighbour was never touched.
+    neighbour.send("EST fig2 //p");
+    assert_eq!(neighbour.recv(), "OK 17");
+}
