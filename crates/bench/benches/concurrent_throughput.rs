@@ -16,15 +16,10 @@
 //! network tier"). Results land in `BENCH_concurrent_throughput.json` at
 //! the workspace root.
 //!
-//! The **batch_split** rows time `Service::estimate_batch` on a 1-worker
-//! service, which always runs a batch on the calling thread, and on a
-//! 2-worker service, which fans a batch out across its workers once every
-//! chunk gets the service's minimum chunk size, at batch sizes from 64 to
-//! 2,048 queries in alternating runs. They show where the fan-out starts
-//! paying for its handoffs; the service's minimum chunk size is half the
-//! smallest batch at which two workers beat one in 9 of 10 runs. Like
-//! every multi-thread number here, they are bounded by the cores the
-//! machine grants (`cpus_available` in the JSON).
+//! Every `estimate_batch` runs on the calling thread, so the service
+//! rows measure one thread whatever the worker count; multi-thread
+//! numbers (the netloop rows) are bounded by the cores the machine
+//! grants (`cpus_available` in the JSON).
 //!
 //! Also compares **observability on vs off**: the same batched service
 //! pass with the default config against one built
@@ -47,23 +42,11 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xpathkit::{PathExpr, QueryClass, QueryPlan};
 use xseed_bench::report::json_throughput_entry;
 use xseed_core::{SynopsisSnapshot, XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, ServerConfig, Service, ServiceConfig, ServiceError, TcpServer};
-
-/// Batch sizes of the `batch_split` rows: from the benchmark's 64-query
-/// `BATCH` up to the largest batch one worker's queue budget
-/// ([`SPLIT_QUEUE_CAPACITY`]) admits. A 64 KiB request line carries about
-/// 2,000 typical queries, so the daemon never receives larger batches.
-const SPLIT_BATCH_SIZES: [usize; 9] = [64, 128, 256, 384, 512, 768, 1024, 1536, 2048];
-
-/// Per-worker queue budget of the `batch_split` services, in queries.
-const SPLIT_QUEUE_CAPACITY: usize = 2048;
-
-/// Alternating runs per `batch_split` cell (one each in smoke mode).
-const SPLIT_RUNS: usize = 10;
 
 struct Scenario {
     name: &'static str,
@@ -553,146 +536,6 @@ fn idle_rtt_scenario(synopsis: &XseedSynopsis) -> IdleRttResult {
     }
 }
 
-/// Median and spread of one cell's runs.
-struct Spread {
-    median: f64,
-    p10: f64,
-    p90: f64,
-}
-
-impl Spread {
-    /// Linear-interpolated percentiles of `samples`.
-    fn of(samples: &[f64]) -> Spread {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let at = |q: f64| {
-            let pos = q * (sorted.len() - 1) as f64;
-            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-        };
-        Spread {
-            median: at(0.5),
-            p10: at(0.1),
-            p90: at(0.9),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"median\": {:.1}, \"p10\": {:.1}, \"p90\": {:.1}}}",
-            self.median, self.p10, self.p90
-        )
-    }
-}
-
-/// One batch size of the `batch_split` rows: each run's median ns per
-/// estimate, index-aligned so run `r` of both services forms one pair.
-struct SplitCell {
-    size: usize,
-    one_worker: Vec<f64>,
-    two_workers: Vec<f64>,
-    /// Jobs the 2-worker service counted per batch: 1 when it ran the
-    /// batch on the calling thread, the chunk count when it fanned out.
-    two_workers_jobs_per_batch: f64,
-}
-
-impl SplitCell {
-    /// Runs in which two workers finished the batch sooner than one.
-    fn two_workers_won(&self) -> usize {
-        self.one_worker
-            .iter()
-            .zip(&self.two_workers)
-            .filter(|(one, two)| two < one)
-            .count()
-    }
-}
-
-/// One run of a `batch_split` cell: two rounds of ~20 ms blocks of
-/// back-to-back `estimate_batch` calls, one block per service in `order`
-/// (one call per block in smoke mode), so both services see the same
-/// stretch of machine time while each runs warm, as a daemon serving one
-/// batch size does. Returns each service's median ns per estimate over
-/// its calls, and the 2-worker service's number of calls.
-fn split_run(
-    services: &[Service; 2],
-    doc: &str,
-    batch: &[&str],
-    order: [usize; 2],
-) -> ([f64; 2], u64) {
-    let block = if smoke() {
-        Duration::ZERO
-    } else {
-        Duration::from_millis(20)
-    };
-    let mut per_call: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-    for _ in 0..2 {
-        for i in order {
-            let start = Instant::now();
-            let calls_before = per_call[i].len();
-            while per_call[i].len() == calls_before || start.elapsed() < block {
-                let call = Instant::now();
-                std::hint::black_box(
-                    services[i]
-                        .estimate_batch(doc, batch)
-                        .expect("batch estimate"),
-                );
-                per_call[i].push(call.elapsed().as_nanos() as f64 / batch.len() as f64);
-            }
-        }
-    }
-    let calls = per_call[1].len() as u64;
-    (per_call.map(|samples| Spread::of(&samples).median), calls)
-}
-
-/// Times `Service::estimate_batch` at every [`SPLIT_BATCH_SIZES`] entry on
-/// a 1-worker and a 2-worker service, [`SPLIT_RUNS`] runs each, alternating
-/// the two run by run (and which goes first pair by pair).
-fn batch_split(scenario: &Scenario) -> Vec<SplitCell> {
-    let (_, texts) = scenario.workloads.last().expect("ALL workload");
-    // A fixed stride through the workload (coprime with its length) mixes
-    // the query classes into every batch.
-    let pool: Vec<&str> = (0..texts.len())
-        .map(|i| texts[(i * 97) % texts.len()].as_str())
-        .collect();
-    let services = [1, 2].map(|workers| {
-        let catalog = Arc::new(Catalog::new());
-        catalog.insert(scenario.name, scenario.synopsis.clone());
-        Service::new(
-            catalog,
-            ServiceConfig::with_workers(workers).with_queue_capacity(SPLIT_QUEUE_CAPACITY),
-        )
-    });
-    let runs = if smoke() { 1 } else { SPLIT_RUNS };
-    SPLIT_BATCH_SIZES
-        .iter()
-        .map(|&size| {
-            let batch: Vec<&str> = pool.iter().cycle().take(size).copied().collect();
-            for service in &services {
-                service
-                    .estimate_batch(scenario.name, &batch)
-                    .expect("warm-up batch");
-            }
-            let jobs_before = services[1].stats().batches;
-            let mut two_worker_batches = 0u64;
-            let [mut one_worker, mut two_workers] = [Vec::new(), Vec::new()];
-            for run in 0..runs {
-                let order = if run % 2 == 0 { [0, 1] } else { [1, 0] };
-                let ([one, two], calls) = split_run(&services, scenario.name, &batch, order);
-                one_worker.push(one);
-                two_workers.push(two);
-                two_worker_batches += calls;
-            }
-            let jobs = services[1].stats().batches - jobs_before;
-            SplitCell {
-                size,
-                one_worker,
-                two_workers,
-                two_workers_jobs_per_batch: jobs as f64 / two_worker_batches as f64,
-            }
-        })
-        .collect()
-}
-
 struct WorkloadResult {
     label: &'static str,
     queries: usize,
@@ -736,7 +579,7 @@ fn concurrent_benches(c: &mut Criterion) {
     }
 
     let mut report = String::from("{\n  \"bench\": \"concurrent_throughput\",\n");
-    let _ = write!(report, "  \"cpus_available\": {cpus},\n  \"baseline\": \"single-threaded parse + one-shot XseedSynopsis::estimate per query (pre-service client)\",\n  \"note\": \"service_batch sends the whole workload as one BATCH through a 2-worker service; at these sizes (100-600 queries) the batch runs on the calling thread (see batch_split). Its wins over the baseline come from the plan cache, the per-snapshot compiled-query cache, snapshot sharing, and the frontier memo\",\n  \"datasets\": {{\n");
+    let _ = write!(report, "  \"cpus_available\": {cpus},\n  \"baseline\": \"single-threaded parse + one-shot XseedSynopsis::estimate per query (pre-service client)\",\n  \"note\": \"service_batch sends the whole workload as one BATCH through a 2-worker service, which runs it on the calling thread. Its wins over the baseline come from the plan cache, the per-snapshot compiled-query cache, snapshot sharing, and the frontier memo\",\n  \"datasets\": {{\n");
 
     // Criterion-visible spot check: one-shot service estimate latency
     // (skipped in smoke mode — the measured passes below already cover
@@ -843,55 +686,6 @@ fn concurrent_benches(c: &mut Criterion) {
         );
     }
     report.push_str("  },\n");
-
-    // Batch split: one worker (always inline) against two (inline below
-    // the service's fan-out threshold, fanned out from it on) at every
-    // batch size, in alternating runs.
-    {
-        let _ = write!(
-            report,
-            "  \"batch_split\": {{\n    \
-             \"comparison\": \"Service::estimate_batch on the ALL workload (classes mixed into every batch) at queue_capacity {SPLIT_QUEUE_CAPACITY}: one_worker always runs the batch on the calling thread; two_workers runs it there too (jobs_per_batch 1) until every chunk gets the service's minimum chunk size, then fans it out (jobs_per_batch 2). {SPLIT_RUNS} runs per cell; a run is two rounds of ~20 ms blocks of back-to-back batches, one block per service, which service goes first alternating run by run, and its value per service is the median wall time per batch / batch size over its calls; ns_per_estimate gives the median and p10/p90 of the run values; two_workers_won counts the runs in which two workers were faster\",\n    \
-             \"rule\": \"the service's minimum chunk size (512 queries) is half the smallest batch size (1,024) from which two workers beat one in most runs; below twice that size both services run the batch on the calling thread, so those rows compare the same path and two_workers_won is a coin toss\",\n"
-        );
-        for (si, scenario) in scenarios.iter().enumerate() {
-            let _ = writeln!(report, "    \"{}\": {{", scenario.name);
-            let cells = batch_split(scenario);
-            for (ci, cell) in cells.iter().enumerate() {
-                let (one, two) = (Spread::of(&cell.one_worker), Spread::of(&cell.two_workers));
-                println!(
-                    "{}/batch_split {:>4}: 1 worker {:.0} ns [{:.0}-{:.0}] | 2 workers {:.0} ns [{:.0}-{:.0}], {:.1} jobs/batch, won {}/{}",
-                    scenario.name,
-                    cell.size,
-                    one.median,
-                    one.p10,
-                    one.p90,
-                    two.median,
-                    two.p10,
-                    two.p90,
-                    cell.two_workers_jobs_per_batch,
-                    cell.two_workers_won(),
-                    cell.two_workers.len(),
-                );
-                let _ = writeln!(
-                    report,
-                    "      \"{}\": {{\"one_worker_ns_per_estimate\": {}, \"two_workers_ns_per_estimate\": {}, \"two_workers_jobs_per_batch\": {:.2}, \"two_workers_won\": {}}}{}",
-                    cell.size,
-                    one.json(),
-                    two.json(),
-                    cell.two_workers_jobs_per_batch,
-                    cell.two_workers_won(),
-                    if ci + 1 == cells.len() { "" } else { "," }
-                );
-            }
-            let _ = writeln!(
-                report,
-                "    }}{}",
-                if si + 1 == scenarios.len() { "" } else { "," }
-            );
-        }
-        report.push_str("  },\n");
-    }
 
     // Observability on/off over the same batched service pass: the only
     // difference is ServiceConfig::observability, so the delta is the

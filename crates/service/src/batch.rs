@@ -1,11 +1,8 @@
 //! The batch executor: many queries, one matcher.
 //!
-//! A batch — or, for a batch large enough to fan out, each per-worker
-//! chunk of it — is estimated by a single [`xseed_core::StreamingMatcher`]
-//! from [`SynopsisSnapshot::matcher`], on whichever thread runs it: the
-//! thread that read the request, or a worker. Like every estimate, each
-//! query replays
-//! the snapshot's shared [`xseed_core::FrontierMemo`] (the traveler's
+//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] from
+//! [`SynopsisSnapshot::matcher`], on the thread that read the request:
+//! like every estimate, each query replays the snapshot's shared [`xseed_core::FrontierMemo`] (the traveler's
 //! expansion, recorded once per snapshot epoch), and the matcher's
 //! scratch buffers stay warm across the whole batch. Batches homogeneous
 //! in query class get the best locality (simple paths may even
@@ -53,7 +50,7 @@ pub struct FeedbackItem {
 /// only, captured inside the miss closure by
 /// [`xseed_core::StreamingMatcher::estimate_plan_timed`] so the cache
 /// counters see exactly one lookup per estimate) is timed into
-/// [`Stage::Compile`], and one `Instant` pair around the whole chunk
+/// [`Stage::Compile`], and one `Instant` pair around the whole batch
 /// records `batch.len()` [`Stage::Estimate`] samples of the per-query
 /// mean with the total compile time subtracted out, so the two stages
 /// partition the work and the warm per-query hot path pays no clock

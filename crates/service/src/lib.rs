@@ -25,9 +25,9 @@
 //! * [`service`] — the [`Service`] front end: admission control that
 //!   sheds excess load with [`ServiceError::Overloaded`], and a worker
 //!   thread pool with per-worker **bounded** request queues and work
-//!   stealing that runs large batches (and [`Service::submit`]) over
-//!   catalog snapshots. A single blocking estimate, and a batch too small
-//!   to pay for worker handoffs, runs on the calling thread.
+//!   stealing that runs [`Service::submit`]ted queries over catalog
+//!   snapshots. A blocking estimate, single or batched, runs on the
+//!   calling thread.
 //! * [`protocol`] — the line protocol (`LOAD` / `EST` / `BATCH` / `STATS`)
 //!   spoken by the `xseed-serve` binary, including the structured
 //!   `OVERLOADED` shed reply (full reference: `docs/PROTOCOL.md`).
@@ -82,10 +82,9 @@
 //! epoch while in-flight jobs finish on the epoch they started with. The
 //! queue budget is reserved before anything is enqueued — excess load
 //! degrades into an immediate structured `OVERLOADED` reply rather than
-//! an unbounded queue. A single `EST` (point or bound), and a `BATCH` too
-//! small to give each worker a chunk of 512 queries, reserves budget the
-//! same way but never enters a queue: its caller waits for the answer
-//! anyway, so it runs on the calling thread. On the hot path, a
+//! an unbounded queue. An `EST` (point or bound) or a `BATCH` reserves
+//! budget the same way but never enters a queue: its caller waits for
+//! the answer anyway, so it runs on the calling thread. On the hot path, a
 //! plan-cache hit also hits the snapshot's compiled-query cache,
 //! skipping label resolution; epoch bumps invalidate it for free because
 //! a new snapshot starts with a new cache.

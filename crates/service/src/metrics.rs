@@ -17,8 +17,8 @@
 //!   locks, no CAS loops, no false sharing between workers on different
 //!   shards. The hot path of a timed stage is therefore one
 //!   `Instant::now()` pair plus one atomic increment — and the batched
-//!   per-query stages amortize even that: one pair times a whole chunk
-//!   and `n` samples of the chunk mean land with a single `fetch_add`
+//!   per-query stages amortize even that: one pair times a whole batch
+//!   and `n` samples of the batch mean land with a single `fetch_add`
 //!   ([`Obs::record_amortized`]), so per-query cost is ~zero clock reads.
 //! * **Merge at read time.** [`Histogram::snapshot`] sums the shards into
 //!   a plain [`HistogramSnapshot`]; percentiles, counts, and the max are
@@ -60,13 +60,11 @@ pub enum Stage {
     /// Compiling a plan into the snapshot's compiled-query cache
     /// (compiled-cache miss path).
     Compile,
-    /// One query's estimate, batched or not: on a worker for queued jobs
-    /// (chunks of a fanned-out `BATCH`, [`crate::Service::submit`]), on
-    /// the calling thread for a single `EST` and a `BATCH` below the
-    /// fan-out threshold.
+    /// One query's estimate, batched or not: on the calling thread for an
+    /// `EST` or a `BATCH`, on a worker for a [`crate::Service::submit`]ted
+    /// query.
     Estimate,
-    /// One whole multi-query job: a `BATCH` run on the calling thread, or
-    /// one chunk of a fanned-out `BATCH` on a worker.
+    /// One whole multi-query `BATCH`, run on the calling thread.
     BatchChunk,
     /// One `FEEDBACK` observation applied through the catalog.
     FeedbackApply,
@@ -195,7 +193,7 @@ impl Histogram {
     }
 
     /// Records `n` identical values with one `fetch_add` — the amortized
-    /// form batch stages use (one timing pair for a whole chunk, `n`
+    /// form batch stages use (one timing pair for a whole batch, `n`
     /// samples of the mean).
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
@@ -346,9 +344,9 @@ impl Obs {
 
     /// Records `n` samples of `total / n` — the amortized form for
     /// per-query stages on batched paths: one `Instant` pair covers the
-    /// whole chunk, so observability costs no clock reads per query, at
-    /// the price of flattening within-chunk tails to the chunk mean
-    /// (chunk-to-chunk variation still lands in distinct buckets).
+    /// whole batch, so observability costs no clock reads per query, at
+    /// the price of flattening within-batch tails to the batch mean
+    /// (batch-to-batch variation still lands in distinct buckets).
     pub fn record_amortized(&self, stage: Stage, total: Duration, n: u64) {
         if n == 0 {
             return;

@@ -8,13 +8,11 @@
 //! connection over nonblocking sockets, so ten thousand mostly-idle
 //! optimizer sessions cost ten thousand small buffers, not ten thousand
 //! threads. The loop thread reads lines, runs each through the protocol
-//! handler synchronously, and shuttles bytes: a single `EST` and every
-//! `BATCH` below the service's fan-out threshold (1,024 queries with two
-//! or more workers, never with one) are estimated on the loop thread
-//! itself; only a `BATCH` that large fans its chunks out across the
-//! [`Service`] worker pool (the loop waits for them). Idle and drain
-//! deadlines cost the loop nothing per wakeup: it keeps a lower bound on
-//! the earliest one and walks its connections only once that has passed.
+//! handler synchronously, and shuttles bytes: every `EST` and `BATCH` is
+//! estimated on the loop thread itself, so no request reaches the
+//! [`Service`] worker pool. Idle and drain deadlines cost the loop
+//! nothing per wakeup: it keeps a lower bound on the earliest one and
+//! walks its connections only once that has passed.
 //!
 //! Per connection the loop keeps a read buffer and a write buffer, which
 //! buys the semantics a blocking thread-per-connection design gets for
@@ -169,12 +167,10 @@ impl TcpServer {
     }
 
     /// Runs the event loop forever, serving every connection multiplexed
-    /// over one poller. Requests run synchronously on the loop thread: a
-    /// single `EST` and a `BATCH` below the fan-out threshold are
-    /// estimated there, a larger `BATCH` waits for its chunks on
-    /// `service`'s worker pool. Returns only if the poller or listener
-    /// fails fatally at setup; accept-time errors are reported on stderr
-    /// and survived.
+    /// over one poller. Requests run synchronously on the loop thread,
+    /// `EST` and `BATCH` estimates included. Returns only if the poller
+    /// or listener fails fatally at setup; accept-time errors are
+    /// reported on stderr and survived.
     pub fn run(&self, service: Arc<Service>) -> std::io::Result<()> {
         EventLoop::new(&self.listener, self.config.clone(), service)?.run()
     }

@@ -9,26 +9,26 @@
 //!
 //! Requests are resolved on the submitting thread — catalog snapshot
 //! lookup (an `Arc` clone) and plan-cache lookup (sharded LRU) are both
-//! cheap — so a queued job is entirely self-contained: snapshot + plans +
+//! cheap — so a queued job is entirely self-contained: snapshot + plan +
 //! reply channel. Workers therefore never touch the catalog and are
 //! immune to concurrent `LOAD`s/updates: they estimate against whatever
-//! epoch the request was resolved at.
+//! epoch the request was resolved at. [`Service::submit`] /
+//! [`Service::submit_pinned`] queue a single query and return without
+//! waiting; they are the only way work reaches the pool.
 //!
 //! Every estimate, batched or single, replays the snapshot's frontier
 //! memo, which the first estimate after an epoch bump builds and every
 //! thread then shares; a batch runs through one matcher (see
-//! [`crate::batch`]). [`Service::submit`] / [`Service::submit_pinned`]
-//! queue a single query and return without waiting.
+//! [`crate::batch`]).
 //!
 //! Work whose caller waits for it ([`Service::estimate`],
-//! [`Service::estimate_bound`], and a [`Service::estimate_batch`] too
-//! small to give every chunk `MIN_CHUNK` (512) queries) does **not** queue:
-//! handing it to a worker would add a queue push, condvar wake-ups and a
-//! reply channel while the caller sat idle. It runs on the calling thread
-//! instead, under the same admission budget and counters as a one-chunk
-//! job. Only a batch of at least `2 × MIN_CHUNK` queries on a
-//! multi-worker service is split into per-worker chunks, which pays for
-//! the handoffs by running on several cores at once.
+//! [`Service::estimate_bound`], [`Service::estimate_batch`]) does **not**
+//! queue: handing it to a worker would add a queue push, condvar
+//! wake-ups and a reply channel while the caller sat idle, and splitting
+//! a batch across two workers did not beat one thread reliably on two
+//! cores.
+//! It runs on the calling thread instead, under the same admission
+//! budget and counters as a queued job.
 //!
 //! ## Backpressure and admission control
 //!
@@ -78,24 +78,12 @@ use xpathkit::{ParseError, QueryPlan};
 use xseed_core::SynopsisSnapshot;
 use xseed_core::{BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats};
 
-/// The fewest queries a worker chunk may get: [`Service::estimate_batch`]
-/// splits a batch of `n` queries into `min(workers, n / MIN_CHUNK)`
-/// chunks and runs it on the calling thread when that is one or none.
-/// Half the smallest batch (1,024) at which two workers beat one thread
-/// in at least 9 of 10 runs on both XMark and Treebank in half of the
-/// 2-CPU run sets that forced the split at every size; up to 256 queries
-/// they won at most half the runs, the queue push, wake-ups and reply
-/// channel of a handoff costing more than the second core saves. The
-/// `batch_split` rows of `BENCH_concurrent_throughput.json` show the
-/// split as built.
-const MIN_CHUNK: usize = 512;
-
 /// How work run on the calling thread reserves budget: `n` queries are
 /// spread over `min(workers, ceil(n / RESERVE_PIECE))` queues, all or
-/// nothing — the split every batch was admitted by when all of them fanned
-/// out, so the same batches are admitted and shed. A batch that does fan
-/// out reserves one piece per chunk, on the queue the chunk is pushed to;
-/// with two workers both splits are the same.
+/// nothing — the split `BATCH` admission has always used, which the shed
+/// tests and `OVERLOADED` transcripts pin. With a queue budget of at
+/// least `RESERVE_PIECE` queries, every batch of up to
+/// `workers × queue_capacity` queries fits an idle service.
 const RESERVE_PIECE: usize = 8;
 
 /// Fallback interval at which an idle worker re-checks its siblings'
@@ -202,14 +190,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One self-contained unit of work: estimate `plans` against `snapshot`
-/// and send the results (tagged with `chunk` for reassembly) to `reply`.
-/// Multi-query jobs (batch chunks) are timed into [`Stage::BatchChunk`].
+/// One self-contained unit of work: estimate `plan` against `snapshot`
+/// and send the result to `reply`.
 struct Job {
     snapshot: SynopsisSnapshot,
-    plans: Vec<Arc<QueryPlan>>,
-    chunk: usize,
-    reply: mpsc::Sender<(usize, Vec<f64>)>,
+    plan: Arc<QueryPlan>,
+    reply: mpsc::Sender<f64>,
 }
 
 /// A queued entry: an estimation job, or a fence pausing the worker that
@@ -329,8 +315,8 @@ impl Shared {
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
             .pop_front();
-        if let Some(Work::Estimate(job)) = &work {
-            self.release(worker, job.plans.len());
+        if let Some(Work::Estimate(_)) = &work {
+            self.release(worker, 1);
         }
         work
     }
@@ -350,8 +336,8 @@ impl Shared {
             if matches!(jobs.back(), Some(Work::Estimate(_))) {
                 let work = jobs.pop_back();
                 drop(jobs);
-                if let Some(Work::Estimate(job)) = &work {
-                    self.release(victim, job.plans.len());
+                if let Some(Work::Estimate(_)) = &work {
+                    self.release(victim, 1);
                 }
                 self.steals.fetch_add(1, Ordering::Relaxed);
                 return work;
@@ -509,17 +495,12 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
     loop {
         match shared.pop_own(id).or_else(|| shared.steal(id)) {
             Some(Work::Estimate(job)) => {
-                let started = Instant::now();
-                let results = execute_batch_observed(&job.snapshot, &job.plans, &shared.obs);
-                if job.plans.len() > 1 {
-                    if let Some(obs) = &shared.obs {
-                        obs.record(Stage::BatchChunk, started.elapsed());
-                    }
-                }
-                shared.executed[id].fetch_add(job.plans.len() as u64, Ordering::Relaxed);
+                let plans = std::slice::from_ref(&job.plan);
+                let result = execute_batch_observed(&job.snapshot, plans, &shared.obs)[0];
+                shared.executed[id].fetch_add(1, Ordering::Relaxed);
                 shared.batches.fetch_add(1, Ordering::Relaxed);
                 // A dropped receiver just means the caller gave up waiting.
-                let _ = job.reply.send((job.chunk, results));
+                let _ = job.reply.send(result);
                 continue;
             }
             Some(Work::Fence { reached, release }) => {
@@ -571,14 +552,13 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
 /// A handle to an estimate submitted with [`Service::submit`]; resolve it
 /// with [`PendingEstimate::wait`].
 pub struct PendingEstimate {
-    rx: mpsc::Receiver<(usize, Vec<f64>)>,
+    rx: mpsc::Receiver<f64>,
 }
 
 impl PendingEstimate {
     /// Blocks until the worker pool answers.
     pub fn wait(self) -> Result<f64, ServiceError> {
-        let (_, results) = self.rx.recv().map_err(|_| ServiceError::Disconnected)?;
-        results.first().copied().ok_or(ServiceError::Disconnected)
+        self.rx.recv().map_err(|_| ServiceError::Disconnected)
     }
 }
 
@@ -639,14 +619,13 @@ pub struct ServiceStats {
     /// Estimates executed per queue slot (index = worker id). Queued work
     /// counts in the slot of the worker that ran it; work run on the
     /// calling thread ([`Service::estimate`], [`Service::estimate_bound`],
-    /// a batch below the fan-out threshold) counts in the slot of the
-    /// first queue whose budget it reserved.
+    /// [`Service::estimate_batch`]) counts in the slot of the first queue
+    /// whose budget it reserved.
     pub executed: Vec<u64>,
     /// Jobs a worker took from a sibling's queue.
     pub steals: u64,
     /// Jobs executed in total: a single estimate, inline or queued, is a
-    /// 1-query job; a batch run on the calling thread is one job, and a
-    /// batch that fans out is one job per chunk.
+    /// 1-query job, and a batch is one job.
     pub batches: u64,
     /// Queries admitted by admission control since startup.
     pub accepted: u64,
@@ -961,8 +940,7 @@ impl Service {
             queue,
             Work::Estimate(Job {
                 snapshot,
-                plans: vec![plan],
-                chunk: 0,
+                plan,
                 reply: tx,
             }),
         );
@@ -1051,11 +1029,10 @@ impl Service {
     }
 
     /// Runs `plans` as one job on the calling thread: reserves their cost
-    /// (see `RESERVE_PIECE`), runs `estimate`, then counts what a worker
-    /// counts for a one-chunk job — the queries in the first reserved
-    /// queue's `executed` slot, one job in `batches`, and for more than
-    /// one query one [`Stage::BatchChunk`] sample — and releases the
-    /// reservation.
+    /// (see `RESERVE_PIECE`), runs `estimate`, then counts the queries in
+    /// the first reserved queue's `executed` slot, one job in `batches`,
+    /// and for more than one query one [`Stage::BatchChunk`] sample, and
+    /// releases the reservation.
     fn run_inline<T>(
         &self,
         snapshot: &SynopsisSnapshot,
@@ -1109,8 +1086,7 @@ impl Service {
     /// [`ServiceError::Overloaded`]. The same backpressure guards queued
     /// work and work run on the calling thread (estimates, feedback), so a
     /// flooding client sheds instead of consuming unbounded CPU. Returns
-    /// the `(queue, cost)` parts; the caller releases them, or pushes one
-    /// job per part whose worker releases it.
+    /// the `(queue, cost)` parts; the caller releases them.
     fn reserve(&self, cost: usize, pieces: usize) -> Result<Vec<(usize, usize)>, ServiceError> {
         let piece = cost.div_ceil(pieces);
         let base = self.next_queue.fetch_add(pieces, Ordering::Relaxed);
@@ -1240,61 +1216,27 @@ impl Service {
     }
 
     /// Estimates a batch of queries against one snapshot of `doc` as
-    /// shared-memo snapshot passes. Results come back in input order. The
-    /// whole batch is resolved against a single epoch: a concurrent
-    /// update to `doc` never mixes epochs within one batch.
-    ///
-    /// A batch of `n` queries is split into `min(workers, n / MIN_CHUNK)`
-    /// per-worker chunks (`MIN_CHUNK` = 512). When that is one or none —
-    /// always under one worker — the batch runs whole on the calling
-    /// thread, which waits for it anyway, and counts as one job; larger
-    /// batches fan out across the worker pool and count one job per
-    /// chunk.
+    /// shared-memo snapshot passes, on the calling thread, which waits for
+    /// the results anyway. Results come back in input order. The whole
+    /// batch is resolved against a single epoch: a concurrent update to
+    /// `doc` never mixes epochs within one batch. The batch counts as one
+    /// job.
     ///
     /// Admission is all-or-nothing and happens before anything runs: the
-    /// batch's cost is spread over up to `workers` queue budgets (an
-    /// inline batch over `min(workers, ceil(n / 8))` of them, a fanned-out
-    /// one one per chunk), and either every part fits and the batch runs
-    /// whole, or nothing runs and the call sheds with
-    /// [`ServiceError::Overloaded`]. A batch larger than the total queue
-    /// budget therefore always sheds — split it client side.
+    /// batch's cost is spread over `min(workers, ceil(n / 8))` queue
+    /// budgets, and either every part fits and the batch runs whole, or
+    /// nothing runs and the call sheds with [`ServiceError::Overloaded`].
+    /// A batch larger than the total queue budget therefore always sheds
+    /// — split it client side.
     pub fn estimate_batch(&self, doc: &str, queries: &[&str]) -> Result<Vec<f64>, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plans = self.plans.get_or_parse_batch(queries)?;
         if plans.is_empty() {
             return Ok(Vec::new());
         }
-        let chunks = self.workers().min(plans.len() / MIN_CHUNK);
-        if chunks <= 1 {
-            return self.run_inline(&snapshot, &plans, |snapshot, plans| {
-                execute_batch_observed(snapshot, plans, &self.obs)
-            });
-        }
-
-        // Reserve budget for every chunk before enqueueing anything, so a
-        // shed batch leaves no partial work behind.
-        let chunk_size = plans.len().div_ceil(chunks);
-        let placements = self.reserve(plans.len(), chunks)?;
-        let (tx, rx) = mpsc::channel();
-        for ((i, chunk), &(queue, _)) in plans.chunks(chunk_size).enumerate().zip(&placements) {
-            self.shared.push(
-                queue,
-                Work::Estimate(Job {
-                    snapshot: snapshot.clone(),
-                    plans: chunk.to_vec(),
-                    chunk: i,
-                    reply: tx.clone(),
-                }),
-            );
-        }
-        drop(tx);
-
-        let mut gathered: Vec<Option<Vec<f64>>> = vec![None; placements.len()];
-        for _ in 0..gathered.len() {
-            let (chunk, results) = rx.recv().map_err(|_| ServiceError::Disconnected)?;
-            gathered[chunk] = Some(results);
-        }
-        Ok(gathered.into_iter().flatten().flatten().collect())
+        self.run_inline(&snapshot, &plans, |snapshot, plans| {
+            execute_batch_observed(snapshot, plans, &self.obs)
+        })
     }
 
     /// Current service counters.
@@ -1408,20 +1350,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_input_order_across_chunks() {
+    fn batch_preserves_input_order() {
         let service = fig2_service(4);
-        // Three chunks of uneven length (514, 514, 513): above the fan-out
-        // threshold, so the chunks really go through the worker queues.
         let queries: Vec<String> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*", "/a/*", "//p"]
             .iter()
             .cycle()
-            .take(3 * MIN_CHUNK + 5)
+            .take(1541)
             .map(|q| q.to_string())
             .collect();
         let refs: Vec<&str> = queries.iter().map(|s| s.as_str()).collect();
         let before = service.stats().batches;
         let batch = service.estimate_batch("fig2", &refs).unwrap();
-        assert_eq!(service.stats().batches - before, 3, "one job per chunk");
+        assert_eq!(service.stats().batches - before, 1, "a batch is one job");
         assert_eq!(batch.len(), refs.len());
         for (q, got) in refs.iter().zip(&batch) {
             let single = service.estimate("fig2", q).unwrap();
@@ -1730,13 +1670,12 @@ mod tests {
     }
 
     #[test]
-    fn batches_below_the_fan_out_threshold_never_wait_for_a_worker() {
-        // 2 × MIN_CHUNK − 1 queries: the largest batch two workers still
-        // run on the calling thread.
+    fn batches_never_wait_for_a_worker() {
+        // The whole default budget of two workers (2 × 1,024 queries).
         let queries: Vec<&str> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*"]
             .into_iter()
             .cycle()
-            .take(2 * MIN_CHUNK - 1)
+            .take(2048)
             .collect();
         let expected = fig2_service(2).estimate_batch("fig2", &queries).unwrap();
 
@@ -1756,12 +1695,11 @@ mod tests {
         };
         let batch = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("a batch below the fan-out threshold must not wait for a worker");
+            .expect("a batch must not wait for a worker");
         helper.join().unwrap();
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&batch), bits(&expected));
 
-        // Counted as one worker counts a one-chunk job.
         let after = service.stats();
         let n = queries.len() as u64;
         assert_eq!(after.accepted - before.accepted, n);
@@ -1772,6 +1710,31 @@ mod tests {
         let obs = service.obs().expect("observability is on by default");
         assert_eq!(obs.latency(Stage::BatchChunk).count(), 1);
         drop(pauses);
+    }
+
+    #[test]
+    fn batches_up_to_the_total_queue_budget_are_admitted() {
+        // 4 workers × 300 queries: a batch spreads over every queue, so it
+        // is admitted up to the whole budget even though no single queue
+        // holds more than 300.
+        let service = fig2_service_with(ServiceConfig::with_workers(4).with_queue_capacity(300));
+        let batch = |n: usize| {
+            let queries: Vec<&str> = ["/a/c/s", "//s//p"].into_iter().cycle().take(n).collect();
+            service.estimate_batch("fig2", &queries)
+        };
+        assert_eq!(batch(1100).unwrap().len(), 1100);
+        assert_eq!(batch(1200).unwrap().len(), 1200);
+        assert!(matches!(
+            batch(1201),
+            Err(ServiceError::Overloaded {
+                queued: 0,
+                capacity: 1200
+            })
+        ));
+        let stats = service.stats();
+        assert_eq!(stats.accepted, 2300);
+        assert_eq!(stats.shed, 1201);
+        assert_eq!(stats.queued, 0);
     }
 
     #[test]
