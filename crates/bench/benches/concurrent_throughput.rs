@@ -8,7 +8,7 @@
 //! per-snapshot **compiled-query cache** (batched passes with
 //! `estimate_plan` vs compiling every estimate from its expression) and
 //! the **overload** fast-fail path (shed-decision latency and bound
-//! enforcement with the worker fenced). The **netloop** rows push mixed
+//! enforcement with the whole budget held). The **netloop** rows push mixed
 //! hot/flood traffic and a high-connection idle soak through the real
 //! nonblocking TCP event loop, pricing per-client rate-limiter fairness,
 //! per-idle-connection memory and the `EST` round trip with 5,000 idle
@@ -31,8 +31,8 @@
 //!
 //! Set `CONCURRENT_SMOKE=1` to run a single pass per measurement and skip
 //! the JSON write (the CI smoke mode keeping the whole service pipeline —
-//! catalog, queues, stealing, compiled cache, overload shed — compiling
-//! and exercised). Set `OBS_SMOKE=1` to run **only** the observability
+//! catalog, admission, compiled cache, overload shed — compiling and
+//! exercised). Set `OBS_SMOKE=1` to run **only** the observability
 //! on/off comparison, fully sampled, printing per-scenario deltas and
 //! skipping the JSON write.
 
@@ -248,8 +248,8 @@ struct OverloadResult {
     drained_ok: bool,
 }
 
-/// Floods a 1-worker service (fenced, so admission is deterministic) past
-/// its queue budget and measures the shed fast-fail path.
+/// Floods a 1-worker service whose whole budget is held (so admission is
+/// deterministic) with estimates and measures the shed fast-fail path.
 fn overload_scenario(synopsis: &XseedSynopsis, doc: &'static str, query: &str) -> OverloadResult {
     const CAPACITY: usize = 64;
     const FLOOD: usize = 50_000;
@@ -259,27 +259,20 @@ fn overload_scenario(synopsis: &XseedSynopsis, doc: &'static str, query: &str) -
         catalog,
         ServiceConfig::with_workers(1).with_queue_capacity(CAPACITY),
     );
-    let pause = service.pause_worker(0);
-    pause.wait_until_paused();
-
-    let mut pendings = Vec::with_capacity(CAPACITY);
-    // Fill the budget first so the timed loop below measures pure sheds.
-    for _ in 0..CAPACITY {
-        pendings.push(service.submit(doc, query).expect("budget not full yet"));
-    }
+    // Hold the budget first so the timed loop below measures pure sheds.
+    let held = service.reserve(CAPACITY).expect("budget is free");
     let start = Instant::now();
     for _ in 0..FLOOD {
-        match service.submit(doc, query) {
-            Ok(p) => pendings.push(p),
+        match service.estimate(doc, query) {
             Err(ServiceError::Overloaded { .. }) => {}
-            Err(e) => panic!("unexpected error: {e}"),
+            other => panic!("a held budget must shed: {other:?}"),
         }
     }
     let shed_decision_ns = start.elapsed().as_nanos() as f64 / FLOOD as f64;
-
-    pause.resume();
-    let drained_ok = pendings.into_iter().all(|p| p.wait().is_ok());
     let stats = service.stats();
+
+    drop(held);
+    let drained_ok = service.estimate(doc, query).is_ok() && service.stats().queued == 0;
     OverloadResult {
         queue_capacity: CAPACITY,
         submitted: CAPACITY + FLOOD,
@@ -320,8 +313,8 @@ struct NetloopResult {
     burst: f64,
     good_requests: usize,
     good_shed: usize,
-    good_unloaded_rtt_ns: f64,
-    good_flooded_rtt_ns: f64,
+    good_unloaded_rtt: RttPercentiles,
+    good_flooded_rtt: RttPercentiles,
     flood_requests: usize,
     flood_admitted: usize,
     flood_shed: usize,
@@ -351,14 +344,15 @@ fn resident_bytes() -> u64 {
 /// because a shed costs the loop only a bucket check plus one buffered
 /// reply line.
 fn netloop_scenario(synopsis: &XseedSynopsis) -> NetloopResult {
-    let (good_n, soak_n) = if smoke() { (48, 256) } else { (400, 5_000) };
+    // 1,000 round trips per phase leave ten samples beyond the p99.
+    let (good_n, soak_n) = if smoke() { (48, 256) } else { (1_000, 5_000) };
     // The good client's whole session (warm-up + unloaded samples +
     // flooded samples + STATS) fits inside its initial burst, so its
     // zero-shed outcome is deterministic, not a timing accident. The
     // flood offers 20x its burst, so thousands of sheds are equally
     // guaranteed.
     let rate = 100.0;
-    let burst = (good_n + 100) as f64;
+    let burst = (2 * good_n + 100) as f64;
     let flood_n = 20 * burst as usize;
     let catalog = Arc::new(Catalog::new());
     catalog.insert("net", synopsis.clone());
@@ -381,12 +375,11 @@ fn netloop_scenario(synopsis: &XseedSynopsis) -> NetloopResult {
 
     let mut good = NetClient::connect(addr);
     assert!(good.roundtrip(query).starts_with("OK "), "warm-up estimate");
-    let unloaded_samples = 32;
-    let start = Instant::now();
-    for _ in 0..unloaded_samples {
-        good.roundtrip(query);
-    }
-    let good_unloaded_rtt_ns = start.elapsed().as_nanos() as f64 / unloaded_samples as f64;
+    let good_unloaded_rtt = RttPercentiles::of((0..good_n).map(|_| {
+        let start = Instant::now();
+        assert!(good.roundtrip(query).starts_with("OK "));
+        start.elapsed()
+    }));
 
     let flood = std::thread::spawn(move || {
         let mut client = NetClient::connect(addr);
@@ -407,13 +400,13 @@ fn netloop_scenario(synopsis: &XseedSynopsis) -> NetloopResult {
     // taken against a loop that is actively shedding.
     std::thread::sleep(std::time::Duration::from_millis(30));
     let mut good_shed = 0usize;
-    let start = Instant::now();
-    for _ in 0..good_n {
+    let good_flooded_rtt = RttPercentiles::of((0..good_n).map(|_| {
+        let start = Instant::now();
         if good.roundtrip(query).starts_with("OVERLOADED") {
             good_shed += 1;
         }
-    }
-    let good_flooded_rtt_ns = start.elapsed().as_nanos() as f64 / good_n as f64;
+        start.elapsed()
+    }));
     let (flood_admitted, flood_shed) = flood.join().expect("flood thread");
     let stats = good.roundtrip("STATS");
     let stats_rate_limited = stats
@@ -448,8 +441,8 @@ fn netloop_scenario(synopsis: &XseedSynopsis) -> NetloopResult {
         burst,
         good_requests: good_n,
         good_shed,
-        good_unloaded_rtt_ns,
-        good_flooded_rtt_ns,
+        good_unloaded_rtt,
+        good_flooded_rtt,
         flood_requests: flood_n,
         flood_admitted,
         flood_shed,
@@ -463,6 +456,17 @@ fn netloop_scenario(synopsis: &XseedSynopsis) -> NetloopResult {
 struct RttPercentiles {
     p50_ns: f64,
     p99_ns: f64,
+}
+
+impl RttPercentiles {
+    fn of(rtts: impl Iterator<Item = std::time::Duration>) -> Self {
+        let mut ns: Vec<u128> = rtts.map(|rtt| rtt.as_nanos()).collect();
+        ns.sort_unstable();
+        RttPercentiles {
+            p50_ns: ns[ns.len() / 2] as f64,
+            p99_ns: ns[ns.len() * 99 / 100] as f64,
+        }
+    }
 }
 
 struct IdleRttResult {
@@ -499,18 +503,11 @@ fn idle_rtt_scenario(synopsis: &XseedSynopsis) -> IdleRttResult {
         for _ in 0..requests / 10 {
             client.roundtrip(query);
         }
-        let mut rtts: Vec<u64> = (0..requests)
-            .map(|_| {
-                let start = Instant::now();
-                assert!(client.roundtrip(query).starts_with("OK "));
-                start.elapsed().as_nanos() as u64
-            })
-            .collect();
-        rtts.sort_unstable();
-        RttPercentiles {
-            p50_ns: rtts[rtts.len() / 2] as f64,
-            p99_ns: rtts[rtts.len() * 99 / 100] as f64,
-        }
+        RttPercentiles::of((0..requests).map(|_| {
+            let start = Instant::now();
+            assert!(client.roundtrip(query).starts_with("OK "));
+            start.elapsed()
+        }))
     };
     let alone = measure();
 
@@ -723,14 +720,17 @@ fn concurrent_benches(c: &mut Criterion) {
         report.push_str("  },\n");
     }
 
-    // Overload: flood a fenced 1-worker service past its queue budget and
+    // Overload: flood a 1-worker service whose budget is held and
     // measure the shed fast-fail path (what a flooding client pays per
     // OVERLOADED reply, before protocol I/O).
     {
         let scenario = &scenarios[0];
         let (_, texts) = scenario.workloads.last().expect("ALL workload");
         let result = overload_scenario(&scenario.synopsis, "overload_doc", &texts[0]);
-        assert!(result.drained_ok, "admitted estimates must drain");
+        assert!(
+            result.drained_ok,
+            "estimates run once the budget is released"
+        );
         assert_eq!(result.accepted, result.queue_capacity);
         assert_eq!(result.peak_queued, result.queue_capacity);
         println!(
@@ -746,7 +746,7 @@ fn concurrent_benches(c: &mut Criterion) {
         let _ = write!(
             report,
             "  \"overload\": {{\n    \
-             \"scenario\": \"1 worker fenced, queue_capacity {} queries, then {} flooding submits\",\n    \
+             \"scenario\": \"1 worker, its whole queue_capacity of {} queries held by Service::reserve, then {} flooding estimates\",\n    \
              \"submitted\": {},\n    \"accepted\": {},\n    \"shed\": {},\n    \
              \"peak_queued\": {},\n    \"shed_decision_ns\": {:.1},\n    \
              \"note\": \"accepted == queue_capacity and peak_queued never exceeds it: admission is exact; shed_decision_ns is the client-side cost of one structured OVERLOADED rejection\"\n  }},\n",
@@ -776,12 +776,15 @@ fn concurrent_benches(c: &mut Criterion) {
             idle_rtt.requests,
         );
         println!(
-            "netloop: good {} reqs ({} shed) rtt {:.0} ns idle / {:.0} ns flooded | \
-             flood {} reqs -> {} admitted, {} shed | soak {} conns, {} KiB RSS",
+            "netloop: good {} reqs ({} shed) rtt p50/p99 {:.0}/{:.0} ns unloaded, \
+             {:.0}/{:.0} ns flooded | flood {} reqs -> {} admitted, {} shed | \
+             soak {} conns, {} KiB RSS",
             result.good_requests,
             result.good_shed,
-            result.good_unloaded_rtt_ns,
-            result.good_flooded_rtt_ns,
+            result.good_unloaded_rtt.p50_ns,
+            result.good_unloaded_rtt.p99_ns,
+            result.good_flooded_rtt.p50_ns,
+            result.good_flooded_rtt.p99_ns,
             result.flood_requests,
             result.flood_admitted,
             result.flood_shed,
@@ -791,9 +794,10 @@ fn concurrent_benches(c: &mut Criterion) {
         let _ = write!(
             report,
             "  \"netloop\": {{\n    \
-             \"scenario\": \"one event loop, --client-rate {} --client-burst {}: a flooding client offers 20x its bucket while a well-behaved client (inside its own bucket) measures request round trips; then {} extra idle connections soak on the same loop\",\n    \
+             \"scenario\": \"one event loop, --client-rate {} --client-burst {}: a flooding client offers 20x its bucket while a well-behaved client (inside its own bucket) times requests round trips before the flood and as many during it; then {} extra idle connections soak on the same loop\",\n    \
              \"good_client\": {{\n      \"requests\": {},\n      \"shed\": {},\n      \
-             \"unloaded_rtt_ns\": {:.0},\n      \"flooded_rtt_ns\": {:.0}\n    }},\n    \
+             \"unloaded_rtt_p50_ns\": {:.0},\n      \"unloaded_rtt_p99_ns\": {:.0},\n      \
+             \"flooded_rtt_p50_ns\": {:.0},\n      \"flooded_rtt_p99_ns\": {:.0}\n    }},\n    \
              \"flooding_client\": {{\n      \"requests\": {},\n      \"admitted\": {},\n      \
              \"shed\": {}\n    }},\n    \"stats_rate_limited\": {},\n    \
              \"idle_soak\": {{\n      \"connections\": {},\n      \"rss_bytes\": {},\n      \
@@ -808,8 +812,10 @@ fn concurrent_benches(c: &mut Criterion) {
             result.soak_connections,
             result.good_requests,
             result.good_shed,
-            result.good_unloaded_rtt_ns,
-            result.good_flooded_rtt_ns,
+            result.good_unloaded_rtt.p50_ns,
+            result.good_unloaded_rtt.p99_ns,
+            result.good_flooded_rtt.p50_ns,
+            result.good_flooded_rtt.p99_ns,
             result.flood_requests,
             result.flood_admitted,
             result.flood_shed,

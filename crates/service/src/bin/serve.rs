@@ -2,10 +2,11 @@
 //!
 //! Speaks the line protocol of [`xseed_service::protocol`] over stdin
 //! (default) or TCP (`--tcp ADDR`, every connection multiplexed onto one
-//! nonblocking epoll event loop, all sharing one worker pool and
-//! catalog). The complete protocol reference lives in
-//! `docs/PROTOCOL.md`, the tuning guide in `docs/OPERATIONS.md`, the
-//! system tour in `docs/ARCHITECTURE.md`.
+//! nonblocking epoll event loop, all sharing one admission budget and
+//! catalog). Requests are estimated on the thread that reads them; the
+//! only other thread is the HET maintenance thread. The complete
+//! protocol reference lives in `docs/PROTOCOL.md`, the tuning guide in
+//! `docs/OPERATIONS.md`, the system tour in `docs/ARCHITECTURE.md`.
 //!
 //! ```text
 //! xseed-serve [--workers N] [--queue-capacity Q] [--tcp ADDR]
@@ -16,9 +17,12 @@
 //!             [--no-observability]
 //! ```
 //!
-//! * `--workers N` — estimation worker threads (default: the CPU count).
-//! * `--queue-capacity Q` — per-worker queue budget in queries (default
-//!   1024); requests past the budget get an `OVERLOADED` reply.
+//! * `--workers N` — expected concurrent callers (default: the CPU
+//!   count). Sizes the admission budget (`N × Q` queries) and the plan
+//!   cache's and latency histograms' shards; it starts no threads.
+//! * `--queue-capacity Q` — admission budget per worker, in queries
+//!   (default 1024); a request the free budget cannot cover gets an
+//!   `OVERLOADED` reply.
 //! * `--tcp ADDR` — serve TCP instead of stdin, e.g. `127.0.0.1:7878`.
 //! * `--max-connections C` — TCP sessions served concurrently (default
 //!   64); excess connections are refused with one `OVERLOADED` line.
@@ -197,8 +201,7 @@ fn main() -> ExitCode {
     }
     config = config.with_observability(args.observability);
     eprintln!(
-        "xseed-serve: {} estimation worker(s), queue budget {} queries/worker; \
-         type HELP for commands",
+        "xseed-serve: admission budget {} worker(s) x {} queries; type HELP for commands",
         config.workers, config.queue_capacity
     );
     let service = Arc::new(Service::new(Arc::new(Catalog::new()), config));

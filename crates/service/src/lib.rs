@@ -18,16 +18,15 @@
 //!   their own consistent pre-update state.
 //! * [`plan_cache`] — a sharded LRU [`PlanCache`] from query text to
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
-//!   skip the parser across all worker threads without a global lock.
+//!   skip the parser across all calling threads without a global lock.
 //! * [`batch`] — the batch executor: one matcher per batch, replaying the
 //!   snapshot's shared frontier memo (the traveler's expansion recorded
 //!   once per epoch) like every estimate.
-//! * [`service`] — the [`Service`] front end: admission control that
-//!   sheds excess load with [`ServiceError::Overloaded`], and a worker
-//!   thread pool with per-worker **bounded** request queues and work
-//!   stealing that runs [`Service::submit`]ted queries over catalog
-//!   snapshots. A blocking estimate, single or batched, runs on the
-//!   calling thread.
+//! * [`service`] — the [`Service`] front end: estimates, single or
+//!   batched, run on the calling thread over catalog snapshots, under
+//!   one **bounded** admission budget that sheds excess load with
+//!   [`ServiceError::Overloaded`]; a maintenance thread rebuilds HETs
+//!   that feedback has marked due.
 //! * [`protocol`] — the line protocol (`LOAD` / `EST` / `BATCH` / `STATS`)
 //!   spoken by the `xseed-serve` binary, including the structured
 //!   `OVERLOADED` shed reply (full reference: `docs/PROTOCOL.md`).
@@ -51,23 +50,24 @@
 //! ## Architecture
 //!
 //! The end-to-end tour of the whole system (parse → caches → streaming
-//! estimate → HET → catalog epochs → workers/admission → event loop →
+//! estimate → HET → catalog epochs → admission → event loop →
 //! persistence → observability), with the per-crate map, lives in
 //! `docs/ARCHITECTURE.md`; what follows is the serving-layer slice.
 //!
-//! A request travels left to right; every stage is bounded, and each box
-//! on the estimate path is lock-free or sharded:
+//! A request travels left to right on the thread that read it; every
+//! stage is bounded, and each box on the estimate path is lock-free or
+//! sharded:
 //!
 //! ```text
-//!  clients                    admission                workers (N threads)
-//! ┌──────────┐  conn limit   ┌──────────────┐  shed?  ┌────────────────────┐
-//! │ stdin /  │──────────────▶│ resolve:     │───────▶ │ q0 ▸▸▸ ─┐ steal    │
-//! │ TCP      │  idle timeout │  snapshot    │  OVER-  │ q1 ▸    ─┼─▶ exec  │
-//! │ sessions │               │  (Arc clone) │  LOADED │ …        │  batch  │
-//! └──────────┘               │  plan cache  │         │ qN-1 ▸▸ ─┘         │
-//!                            │  queue budget│         └─────────┬──────────┘
+//!  clients                    calling thread
+//! ┌──────────┐  conn limit   ┌──────────────┐  budget  ┌──────────────────┐
+//! │ stdin /  │──────────────▶│ resolve:     │────────▶ │ estimate / batch │
+//! │ TCP      │  idle timeout │  snapshot    │  short?  │ (frontier-memo   │
+//! │ sessions │               │  (Arc clone) │  OVER-   │  replay)         │
+//! └──────────┘               │  plan cache  │  LOADED  └────────┬─────────┘
+//!                            │  reserve     │                   │
 //!                            └──────┬───────┘                   │
-//!                                   │ resolve at submit         │ estimate
+//!                                   │ resolve                   │ estimate
 //!                            ┌──────▼───────────────────────────▼──────────┐
 //!                            │ Catalog: name → epoch-versioned snapshot    │
 //!                            │  SynopsisSnapshot = frozen CSR kernel + HET │
@@ -76,15 +76,14 @@
 //!                            └─────────────────────────────────────────────┘
 //! ```
 //!
-//! Requests are resolved *at submit time* (snapshot `Arc` clone +
-//! sharded-LRU plan-cache lookup), so queued jobs are self-contained and
-//! workers never touch the catalog; a `LOAD`/update publishes a fresh
-//! epoch while in-flight jobs finish on the epoch they started with. The
-//! queue budget is reserved before anything is enqueued — excess load
-//! degrades into an immediate structured `OVERLOADED` reply rather than
-//! an unbounded queue. An `EST` (point or bound) or a `BATCH` reserves
-//! budget the same way but never enters a queue: its caller waits for
-//! the answer anyway, so it runs on the calling thread. On the hot path, a
+//! A request resolves its snapshot (`Arc` clone) and plan (sharded-LRU
+//! plan-cache lookup) before it runs, so a `LOAD`/update publishes a
+//! fresh epoch while in-flight estimates finish on the epoch they started
+//! with. An `EST` (point or bound), a `BATCH` or a `FEEDBACK` reserves
+//! its cost in queries against one admission budget before anything runs
+//! — excess load degrades into an immediate structured `OVERLOADED` reply
+//! rather than an unbounded backlog — and then runs on the calling
+//! thread, which waits for the answer anyway. On the hot path, a
 //! plan-cache hit also hits the snapshot's compiled-query cache,
 //! skipping label resolution; epoch bumps invalidate it for free because
 //! a new snapshot starts with a new cache.
@@ -137,7 +136,7 @@ pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use protocol::{handle_line, run_script, ProtocolOptions, Response};
 pub use server::{serve_stream, ServerConfig, TcpServer};
 pub use service::{
-    PendingEstimate, RebuildTicket, Service, ServiceConfig, ServiceError, ServiceFeedback,
+    RebuildTicket, Reservation, Service, ServiceConfig, ServiceError, ServiceFeedback,
     ServiceFeedbackBatch, ServiceStats, WorkerPause,
 };
 pub use trace::{TraceEvent, TraceKind, TraceRing};

@@ -14,7 +14,7 @@
 //! * **Per-thread shards of relaxed atomics.** Each recording thread is
 //!   assigned a shard on first use (a thread-local slot index), and a
 //!   record is **one relaxed `fetch_add`** on that shard's bucket — no
-//!   locks, no CAS loops, no false sharing between workers on different
+//!   locks, no CAS loops, no false sharing between threads on different
 //!   shards. The hot path of a timed stage is therefore one
 //!   `Instant::now()` pair plus one atomic increment — and the batched
 //!   per-query stages amortize even that: one pair times a whole batch
@@ -60,9 +60,8 @@ pub enum Stage {
     /// Compiling a plan into the snapshot's compiled-query cache
     /// (compiled-cache miss path).
     Compile,
-    /// One query's estimate, batched or not: on the calling thread for an
-    /// `EST` or a `BATCH`, on a worker for a [`crate::Service::submit`]ted
-    /// query.
+    /// One query's estimate, batched or not, on the thread that called
+    /// the [`crate::Service`].
     Estimate,
     /// One whole multi-query `BATCH`, run on the calling thread.
     BatchChunk,
@@ -326,7 +325,8 @@ pub struct Obs {
 
 impl Obs {
     /// Creates a registry whose histograms carry `shards` write shards
-    /// each (size to the worker count plus a few submitter threads).
+    /// each (size to the number of threads expected to record at once:
+    /// the service's callers plus its maintenance thread).
     pub fn new(shards: usize) -> Self {
         let start = Instant::now();
         Obs {

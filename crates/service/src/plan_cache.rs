@@ -2,7 +2,7 @@
 //!
 //! Every estimate request arrives as text; parsing and classifying it
 //! ([`QueryPlan::parse`]) is pure, so the result is cached and shared
-//! across worker threads behind an `Arc`. The cache is sharded by a hash
+//! across every calling thread. The cache is sharded by a hash
 //! of the query text: each shard has its own mutex and its own LRU state,
 //! so concurrent lookups of different queries rarely contend on the same
 //! lock. Parsing itself always happens *outside* any lock — a miss costs

@@ -49,11 +49,11 @@
 //! `error-mass=<x>` (rebuild once accumulated `|estimated − actual|`
 //! reaches `x`), or `every=<n>` (rebuild every `n` applied feedbacks).
 //!
-//! `EST`/`BATCH` requests that admission control sheds (queue budget
+//! `EST`/`BATCH` requests that admission control sheds (admission budget
 //! exhausted — see [`crate::service`]) get a structured
 //! `OVERLOADED queued=<n> capacity=<n>` reply instead of `ERR`: the
 //! request was well-formed and retryable, the server just refused to
-//! queue it. The complete grammar, every reply form, and the security
+//! run it. The complete grammar, every reply form, and the security
 //! notes live in `docs/PROTOCOL.md`.
 
 use crate::catalog::{MaintenancePolicy, SnapshotError};
@@ -645,15 +645,17 @@ fn handle_stats_flat(service: &Service) -> Response {
     let stats = service.stats();
     let infos = service.catalog().info();
     let error_mass: f64 = infos.iter().map(|i| i.error_mass).sum();
+    // `steals` stays on the wire as a constant 0 in all three renderings:
+    // the service has no worker pool to steal between, and clients and
+    // transcripts still read the key.
     let mut body = format!(
-        "workers={} uptime_secs={} executed={} batches={} steals={} accepted={} shed={} \
+        "workers={} uptime_secs={} executed={} batches={} steals=0 accepted={} shed={} \
          queued={} peak_queued={} queue_capacity={} feedback_applied={} feedback_ignored={} \
          rebuilds_triggered={} error_mass={}",
         stats.workers,
         stats.uptime_secs,
-        stats.total_executed(),
+        stats.executed,
         stats.batches,
-        stats.steals,
         stats.accepted,
         stats.shed,
         stats.queued,
@@ -722,15 +724,14 @@ fn handle_stats_json(service: &Service) -> Response {
     let infos = service.catalog().info();
     let error_mass: f64 = infos.iter().map(|i| i.error_mass).sum();
     let mut body = format!(
-        "{{\"workers\":{},\"uptime_secs\":{},\"executed\":{},\"batches\":{},\"steals\":{},\
+        "{{\"workers\":{},\"uptime_secs\":{},\"executed\":{},\"batches\":{},\"steals\":0,\
          \"accepted\":{},\"shed\":{},\"queued\":{},\"peak_queued\":{},\"queue_capacity\":{},\
          \"feedback_applied\":{},\"feedback_ignored\":{},\"rebuilds_triggered\":{},\
          \"error_mass\":{}",
         stats.workers,
         stats.uptime_secs,
-        stats.total_executed(),
+        stats.executed,
         stats.batches,
-        stats.steals,
         stats.accepted,
         stats.shed,
         stats.queued,
@@ -818,9 +819,9 @@ fn handle_metrics(service: &Service, args: &str) -> Response {
         let _ = writeln!(body, "xseed_{name} {value}");
     }
     for (name, value) in [
-        ("executed", stats.total_executed()),
+        ("executed", stats.executed),
         ("batches", stats.batches),
-        ("steals", stats.steals),
+        ("steals", 0),
         ("accepted", stats.accepted),
         ("shed", stats.shed),
         ("feedback_applied", stats.feedback_applied),

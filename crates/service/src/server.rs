@@ -9,8 +9,8 @@
 //! optimizer sessions cost ten thousand small buffers, not ten thousand
 //! threads. The loop thread reads lines, runs each through the protocol
 //! handler synchronously, and shuttles bytes: every `EST` and `BATCH` is
-//! estimated on the loop thread itself, so no request reaches the
-//! [`Service`] worker pool. Idle and drain deadlines cost the loop
+//! estimated on the loop thread itself, because a [`Service`] estimates
+//! on its caller's thread. Idle and drain deadlines cost the loop
 //! nothing per wakeup: it keeps a lower bound on the earliest one and
 //! walks its connections only once that has passed.
 //!
@@ -53,10 +53,10 @@
 //! (`rate_limited=`) and shed *episodes* appear in the trace ring
 //! (`rate_limit_on`/`rate_limit_off`, subject `conn-<token>`).
 //!
-//! All bounds compose with the per-worker queue budgets inside
+//! All bounds compose with the admission budget inside
 //! [`crate::service`]: the connection limit caps *who may talk*, the
-//! client rate caps *how often each may ask*, the queue budget caps *how
-//! much queued work they may pile up*, and everything past any bound
+//! client rate caps *how often each may ask*, the admission budget caps
+//! *how many queries may run at once*, and everything past any bound
 //! degrades into an explicit protocol reply instead of an unbounded
 //! queue. See `docs/OPERATIONS.md` ("Sizing the network tier").
 //!

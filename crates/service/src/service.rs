@@ -1,48 +1,31 @@
-//! The estimation service: a worker pool over the catalog.
+//! The estimation service: admission control and feedback over the
+//! catalog.
 //!
-//! A [`Service`] owns `N` worker threads. Each worker has its **own**
-//! request queue (a mutex + condvar pair — sharded, so submitters and
-//! workers touching different queues never contend), and requests are
-//! spread round-robin across the queues. An idle worker first drains its
-//! own queue, then **steals** from the back of its siblings' queues before
-//! sleeping, so one hot queue cannot strand work while other workers idle.
-//!
-//! Requests are resolved on the submitting thread — catalog snapshot
-//! lookup (an `Arc` clone) and plan-cache lookup (sharded LRU) are both
-//! cheap — so a queued job is entirely self-contained: snapshot + plan +
-//! reply channel. Workers therefore never touch the catalog and are
-//! immune to concurrent `LOAD`s/updates: they estimate against whatever
-//! epoch the request was resolved at. [`Service::submit`] /
-//! [`Service::submit_pinned`] queue a single query and return without
-//! waiting; they are the only way work reaches the pool.
+//! A [`Service`] estimates **on the calling thread**. XSEED estimates cost
+//! microseconds, so handing one to another thread would add a queue push,
+//! a wake-up and a reply channel while the caller sat idle; every
+//! [`Service::estimate`], [`Service::estimate_bound`] and
+//! [`Service::estimate_batch`] therefore resolves its snapshot (an `Arc`
+//! clone) and plan (sharded LRU lookup) and runs right where it was
+//! called. The only thread the service owns is the maintenance thread.
 //!
 //! Every estimate, batched or single, replays the snapshot's frontier
 //! memo, which the first estimate after an epoch bump builds and every
 //! thread then shares; a batch runs through one matcher (see
 //! [`crate::batch`]).
 //!
-//! Work whose caller waits for it ([`Service::estimate`],
-//! [`Service::estimate_bound`], [`Service::estimate_batch`]) does **not**
-//! queue: handing it to a worker would add a queue push, condvar
-//! wake-ups and a reply channel while the caller sat idle, and splitting
-//! a batch across two workers did not beat one thread reliably on two
-//! cores.
-//! It runs on the calling thread instead, under the same admission
-//! budget and counters as a queued job.
-//!
 //! ## Backpressure and admission control
 //!
-//! Every queue is **bounded**: [`ServiceConfig::queue_capacity`] queries
-//! per worker. Admission happens on the submitting thread *before*
-//! anything is enqueued — a request's cost (1 for a single estimate, the
-//! query count for a batch) is reserved against a queue's remaining
-//! budget, falling back to sibling queues when the preferred one is full.
-//! When no queue can take it, the request is **shed**: the submitter gets
-//! [`ServiceError::Overloaded`] immediately (the daemon turns it into the
-//! protocol's `OVERLOADED` reply), nothing is partially enqueued, and
-//! in-flight work is untouched. Batches are admitted all-or-nothing: a
-//! partially reserved batch releases its reservations and sheds whole, so
-//! a client never receives a truncated result. The
+//! The service admits at most `workers × queue_capacity` queries at once
+//! (see [`ServiceConfig`]). Admission is one counter of reserved queries:
+//! a request's cost (1 for a single estimate or feedback, the query count
+//! for a batch) is reserved before anything runs and released when the
+//! request finishes. When the free budget cannot cover the cost, the
+//! request is **shed**: the caller gets [`ServiceError::Overloaded`]
+//! immediately (the daemon turns it into the protocol's `OVERLOADED`
+//! reply) and nothing runs. Batches are admitted all-or-nothing, so a
+//! client never receives a truncated result. [`Service::reserve`] takes
+//! the same budget for as long as its [`Reservation`] lives. The
 //! accepted/shed/queued/peak-queued counters are surfaced through
 //! [`Service::stats`] (and the `STATS` protocol verb) so operators can
 //! see pressure before it becomes failure.
@@ -56,7 +39,7 @@
 //! declares the accumulated error mass due, the service's **maintenance
 //! thread** rebuilds the HET from the retained document in the
 //! background. The thread is owned by the service (shutdown-safe:
-//! dropping the service releases it) and pausable like a worker
+//! dropping the service releases it) and pausable
 //! ([`Service::pause_maintenance`]); callers that need the rebuild's
 //! result synchronously wait on the returned [`RebuildTicket`]. Outcomes
 //! are counted (`feedback_applied` / `feedback_ignored` /
@@ -78,21 +61,11 @@ use xpathkit::{ParseError, QueryPlan};
 use xseed_core::SynopsisSnapshot;
 use xseed_core::{BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats};
 
-/// How work run on the calling thread reserves budget: `n` queries are
-/// spread over `min(workers, ceil(n / RESERVE_PIECE))` queues, all or
-/// nothing — the split `BATCH` admission has always used, which the shed
-/// tests and `OVERLOADED` transcripts pin. With a queue budget of at
-/// least `RESERVE_PIECE` queries, every batch of up to
-/// `workers × queue_capacity` queries fits an idle service.
-const RESERVE_PIECE: usize = 8;
-
-/// Fallback interval at which an idle worker re-checks its siblings'
-/// queues for stealable work. Pushes notify the target queue *and* one
-/// sibling (see [`Shared::push`]), so steal latency is normally condvar
-/// wake-up time; this poll only backstops the case where every notified
-/// worker was already busy, and is long enough that an idle daemon stays
-/// essentially asleep.
-const STEAL_POLL: Duration = Duration::from_millis(50);
+/// Interval at which an idle or paused maintenance thread re-checks the
+/// shutdown flag. Pushes notify the thread, so this only bounds how long
+/// a shutdown racing a sleep goes unnoticed, and is long enough that an
+/// idle daemon stays essentially asleep.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Errors surfaced by [`Service`] calls.
 #[derive(Debug)]
@@ -101,19 +74,16 @@ pub enum ServiceError {
     UnknownDocument(String),
     /// The query text failed to parse.
     Parse(ParseError),
-    /// The request was shed by admission control: no worker queue had
-    /// room for its cost. Nothing was enqueued; retrying after a backoff
-    /// is safe. `queued` is the total number of queries queued across all
-    /// workers at shed time, `capacity` the total queue budget
-    /// (`workers × queue_capacity`).
+    /// The request was shed by admission control: the free budget could
+    /// not cover its cost. Nothing ran; retrying after a backoff is safe.
+    /// `queued` is the number of queries reserved at shed time,
+    /// `capacity` the whole budget (`workers × queue_capacity`).
     Overloaded {
-        /// Queries queued across all worker queues when the shed happened.
+        /// Queries reserved when the shed happened.
         queued: usize,
-        /// Total queue budget the service will accept.
+        /// Total budget the service will accept.
         capacity: usize,
     },
-    /// The worker pool shut down before answering.
-    Disconnected,
 }
 
 impl fmt::Display for ServiceError {
@@ -125,7 +95,6 @@ impl fmt::Display for ServiceError {
                 f,
                 "overloaded: {queued} queries queued against a budget of {capacity}"
             ),
-            ServiceError::Disconnected => write!(f, "service workers shut down"),
         }
     }
 }
@@ -141,13 +110,16 @@ impl From<ParseError> for ServiceError {
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads (and request-queue shards). Clamped to at least 1.
+    /// Expected concurrent callers, clamped to at least 1. Sizes the
+    /// admission budget (`workers × queue_capacity` queries), the plan
+    /// cache's shards and the latency histograms' shards; no thread is
+    /// started per worker.
     pub workers: usize,
-    /// Queue budget per worker, **in queries** (a batch of `n` queries
-    /// costs `n`), clamped to at least 1. Requests beyond the budget are
-    /// shed with [`ServiceError::Overloaded`] instead of growing queues
-    /// without bound; a single batch larger than one queue's budget can
-    /// never be admitted. See the module docs.
+    /// Admission budget per worker, **in queries** (a batch of `n`
+    /// queries costs `n`), clamped to at least 1. Requests the free
+    /// budget cannot cover are shed with [`ServiceError::Overloaded`]
+    /// instead of piling up without bound; a single batch larger than the
+    /// whole budget can never be admitted. See the module docs.
     pub queue_capacity: usize,
     /// Whether the observability layer (per-stage latency histograms,
     /// q-error tracking, the event trace ring — see [`crate::metrics`])
@@ -158,8 +130,8 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A configuration with `workers` worker threads and defaults for the
-    /// queue budget and observability.
+    /// A configuration sized for `workers` concurrent callers, with
+    /// defaults for the per-worker budget and observability.
     pub fn with_workers(workers: usize) -> Self {
         ServiceConfig {
             workers: workers.max(1),
@@ -168,7 +140,7 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the per-worker queue budget (builder style).
+    /// Sets the per-worker admission budget (builder style).
     pub fn with_queue_capacity(mut self, queries: usize) -> Self {
         self.queue_capacity = queries.max(1);
         self
@@ -190,180 +162,33 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One self-contained unit of work: estimate `plan` against `snapshot`
-/// and send the result to `reply`.
-struct Job {
-    snapshot: SynopsisSnapshot,
-    plan: Arc<QueryPlan>,
-    reply: mpsc::Sender<f64>,
-}
-
-/// A queued entry: an estimation job, or a fence pausing the worker that
-/// reaches it (see [`Service::pause_worker`]).
-enum Work {
-    Estimate(Job),
-    Fence {
-        /// Signalled (by dropping) when the worker reaches the fence.
-        reached: mpsc::Sender<()>,
-        /// The worker blocks here until the pause guard drops its sender.
-        release: mpsc::Receiver<()>,
-    },
-}
-
-struct QueueShard {
-    jobs: Mutex<VecDeque<Work>>,
-    ready: Condvar,
-    /// Queries reserved against this queue's budget (queued jobs plus
-    /// admission reservations not yet pushed). Fences cost nothing.
-    depth: AtomicUsize,
-}
-
-struct Shared {
-    queues: Vec<QueueShard>,
-    /// Per-queue admission budget, in queries.
-    queue_capacity: usize,
-    shutdown: AtomicBool,
-    steals: AtomicU64,
-    batches: AtomicU64,
+/// Admission state and the estimation counters of [`ServiceStats`].
+struct Admission {
+    /// Queries held by live [`Reservation`]s.
+    reserved: AtomicUsize,
+    /// The whole budget: `workers × queue_capacity` queries.
+    capacity: usize,
     accepted: AtomicU64,
     shed: AtomicU64,
     peak_queued: AtomicUsize,
-    executed: Vec<AtomicU64>,
-    /// The observability registry; `None` when the layer is disabled.
-    obs: Option<Arc<Obs>>,
+    executed: AtomicU64,
+    batches: AtomicU64,
     /// Whether the last admission decision was a shed — drives the
     /// `shed_on`/`shed_off` *transition* events in the trace ring (the
     /// ring records bursts, not every rejected request).
     shedding: AtomicBool,
 }
 
-impl Shared {
-    /// Reserves `cost` queries of `queue`'s budget; `false` when it does
-    /// not fit. Admission is the *only* path that grows a queue, so the
-    /// bound holds regardless of worker/stealer interleavings.
-    fn try_reserve(&self, queue: usize, cost: usize) -> bool {
-        self.queues[queue]
-            .depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
-                (cost <= self.queue_capacity.saturating_sub(depth)).then_some(depth + cost)
-            })
-            .is_ok()
-    }
+/// Budget held by [`Service::reserve`]; dropping it releases the budget.
+#[must_use = "dropping a Reservation releases its budget at once"]
+pub struct Reservation<'a> {
+    reserved: &'a AtomicUsize,
+    queries: usize,
+}
 
-    fn release(&self, queue: usize, cost: usize) {
-        self.queues[queue].depth.fetch_sub(cost, Ordering::Relaxed);
-    }
-
-    fn release_all(&self, placements: &[(usize, usize)]) {
-        for &(queue, cost) in placements {
-            self.release(queue, cost);
-        }
-    }
-
-    fn total_queued(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| q.depth.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn note_peak(&self) {
-        self.peak_queued
-            .fetch_max(self.total_queued(), Ordering::Relaxed);
-    }
-
-    /// Finds a queue with room for `cost`, preferring `preferred` and —
-    /// unless `pinned` — falling back to siblings. Reserves the budget on
-    /// success; the caller must then `push` (or `release` on abort).
-    fn admit(&self, preferred: usize, cost: usize, pinned: bool) -> Option<usize> {
-        let n = self.queues.len();
-        let preferred = preferred % n;
-        if self.try_reserve(preferred, cost) {
-            return Some(preferred);
-        }
-        if !pinned {
-            for offset in 1..n {
-                let queue = (preferred + offset) % n;
-                if self.try_reserve(queue, cost) {
-                    return Some(queue);
-                }
-            }
-        }
-        None
-    }
-
-    fn push(&self, queue: usize, work: Work) {
-        let shard = &self.queues[queue];
-        shard
-            .jobs
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .push_back(work);
-        shard.ready.notify_one();
-        // Also wake one sibling: if the owner is mid-job, the neighbour
-        // steals immediately instead of waiting out its fallback poll.
-        if self.queues.len() > 1 {
-            self.queues[(queue + 1) % self.queues.len()]
-                .ready
-                .notify_one();
-        }
-    }
-
-    fn pop_own(&self, worker: usize) -> Option<Work> {
-        let work = self.queues[worker]
-            .jobs
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
-            .pop_front();
-        if let Some(Work::Estimate(_)) = &work {
-            self.release(worker, 1);
-        }
-        work
-    }
-
-    /// Steals from the back of a sibling queue (the opposite end from the
-    /// owner, minimizing contention and keeping stolen work coarse).
-    /// Fences are never stolen — they pause the queue's *owner* — so a
-    /// victim whose back entry is a fence is skipped.
-    fn steal(&self, thief: usize) -> Option<Work> {
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (thief + offset) % n;
-            let mut jobs = self.queues[victim]
-                .jobs
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner());
-            if matches!(jobs.back(), Some(Work::Estimate(_))) {
-                let work = jobs.pop_back();
-                drop(jobs);
-                if let Some(Work::Estimate(_)) = &work {
-                    self.release(victim, 1);
-                }
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return work;
-            }
-        }
-        None
-    }
-
-    /// Marks an admission-control shed, tracing the off→on transition.
-    fn note_shed(&self) {
-        if let Some(obs) = &self.obs {
-            if !self.shedding.swap(true, Ordering::Relaxed) {
-                obs.trace().record(TraceKind::ShedOn, "admission");
-            }
-        }
-    }
-
-    /// Marks a successful admission, tracing the on→off transition. The
-    /// steady-state (non-shedding) cost is one relaxed load.
-    fn note_admitted(&self) {
-        if let Some(obs) = &self.obs {
-            if self.shedding.load(Ordering::Relaxed) && self.shedding.swap(false, Ordering::Relaxed)
-            {
-                obs.trace().record(TraceKind::ShedOff, "admission");
-            }
-        }
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.reserved.fetch_sub(self.queries, Ordering::Relaxed);
     }
 }
 
@@ -375,8 +200,8 @@ enum MaintenanceWork {
         /// Receives the outcome; a dropped receiver means nobody waits.
         done: mpsc::Sender<Result<(HetBuildStats, u64), RebuildError>>,
     },
-    /// Parks the maintenance thread until released (mirrors the worker
-    /// fence of [`Service::pause_worker`]).
+    /// Parks the maintenance thread until released (see
+    /// [`Service::pause_maintenance`]).
     Fence {
         reached: mpsc::Sender<()>,
         release: mpsc::Receiver<()>,
@@ -457,7 +282,7 @@ fn maintenance_loop(catalog: Arc<Catalog>, shared: Arc<MaintenanceShared>) {
                 // Held until the pause guard releases — but never past
                 // shutdown, so dropping the service cannot hang the join.
                 loop {
-                    match release.recv_timeout(STEAL_POLL) {
+                    match release.recv_timeout(SHUTDOWN_POLL) {
                         Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
                         Err(mpsc::RecvTimeoutError::Timeout) => {
                             if shared.shutdown.load(Ordering::Acquire) {
@@ -485,80 +310,9 @@ fn maintenance_loop(catalog: Arc<Catalog>, shared: Arc<MaintenanceShared>) {
             // the sleep is still noticed promptly.
             let _ = shared
                 .ready
-                .wait_timeout(guard, STEAL_POLL)
+                .wait_timeout(guard, SHUTDOWN_POLL)
                 .unwrap_or_else(|poison| poison.into_inner());
         }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, id: usize) {
-    loop {
-        match shared.pop_own(id).or_else(|| shared.steal(id)) {
-            Some(Work::Estimate(job)) => {
-                let plans = std::slice::from_ref(&job.plan);
-                let result = execute_batch_observed(&job.snapshot, plans, &shared.obs)[0];
-                shared.executed[id].fetch_add(1, Ordering::Relaxed);
-                shared.batches.fetch_add(1, Ordering::Relaxed);
-                // A dropped receiver just means the caller gave up waiting.
-                let _ = job.reply.send(result);
-                continue;
-            }
-            Some(Work::Fence { reached, release }) => {
-                if let Some(obs) = &shared.obs {
-                    obs.trace()
-                        .record(TraceKind::Pause, &format!("worker-{id}"));
-                }
-                drop(reached);
-                // Held until the pause guard drops its sender — but never
-                // past shutdown, so dropping the Service while a guard is
-                // alive cannot hang the join in [`Service::drop`].
-                loop {
-                    match release.recv_timeout(STEAL_POLL) {
-                        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if shared.shutdown.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(obs) = &shared.obs {
-                    obs.trace()
-                        .record(TraceKind::Resume, &format!("worker-{id}"));
-                }
-                continue;
-            }
-            None => {}
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let shard = &shared.queues[id];
-        let guard = shard
-            .jobs
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        if guard.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
-            // Bounded wait: our own queue wakes us via the condvar, but
-            // stealable work lands on sibling queues without notifying us.
-            let _ = shard
-                .ready
-                .wait_timeout(guard, STEAL_POLL)
-                .unwrap_or_else(|poison| poison.into_inner());
-        }
-    }
-}
-
-/// A handle to an estimate submitted with [`Service::submit`]; resolve it
-/// with [`PendingEstimate::wait`].
-pub struct PendingEstimate {
-    rx: mpsc::Receiver<f64>,
-}
-
-impl PendingEstimate {
-    /// Blocks until the worker pool answers.
-    pub fn wait(self) -> Result<f64, ServiceError> {
-        self.rx.recv().map_err(|_| ServiceError::Disconnected)
     }
 }
 
@@ -612,26 +366,21 @@ pub struct ServiceFeedbackBatch {
 /// A point-in-time view of the service counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Worker thread count.
+    /// [`ServiceConfig::workers`].
     pub workers: usize,
-    /// Per-worker queue budget, in queries.
+    /// Per-worker admission budget, in queries.
     pub queue_capacity: usize,
-    /// Estimates executed per queue slot (index = worker id). Queued work
-    /// counts in the slot of the worker that ran it; work run on the
-    /// calling thread ([`Service::estimate`], [`Service::estimate_bound`],
-    /// [`Service::estimate_batch`]) counts in the slot of the first queue
-    /// whose budget it reserved.
-    pub executed: Vec<u64>,
-    /// Jobs a worker took from a sibling's queue.
-    pub steals: u64,
-    /// Jobs executed in total: a single estimate, inline or queued, is a
-    /// 1-query job, and a batch is one job.
+    /// Queries estimated since startup ([`Service::estimate`],
+    /// [`Service::estimate_bound`], [`Service::estimate_batch`]).
+    pub executed: u64,
+    /// Estimation jobs run since startup: a single estimate is a 1-query
+    /// job, and a batch is one job.
     pub batches: u64,
     /// Queries admitted by admission control since startup.
     pub accepted: u64,
     /// Queries shed with [`ServiceError::Overloaded`] since startup.
     pub shed: u64,
-    /// Queries currently queued (reserved budget) across all workers.
+    /// Queries currently holding admission budget.
     pub queued: usize,
     /// High-water mark of [`ServiceStats::queued`] since startup.
     pub peak_queued: usize,
@@ -664,13 +413,6 @@ pub struct ServiceStats {
     pub uptime_secs: u64,
 }
 
-impl ServiceStats {
-    /// Total estimates executed across all workers.
-    pub fn total_executed(&self) -> u64 {
-        self.executed.iter().sum()
-    }
-}
-
 /// Lifetime snapshot-persistence counters (see [`ServiceStats`]).
 #[derive(Default)]
 struct PersistCounters {
@@ -691,17 +433,17 @@ struct NetCounters {
     armed: AtomicBool,
 }
 
-/// The multi-threaded estimation service. See the module docs.
+/// The estimation service. See the module docs.
 pub struct Service {
     catalog: Arc<Catalog>,
-    plans: Arc<PlanCache>,
-    shared: Arc<Shared>,
+    plans: PlanCache,
+    workers: usize,
+    queue_capacity: usize,
+    admission: Admission,
     maintenance: Arc<MaintenanceShared>,
     persist: PersistCounters,
     net: NetCounters,
-    handles: Vec<JoinHandle<()>>,
     maintenance_handle: Option<JoinHandle<()>>,
-    next_queue: AtomicUsize,
     /// Kept outside [`Obs`] so `uptime_secs` reports even with
     /// observability off.
     started: Instant,
@@ -715,44 +457,16 @@ const PLAN_CACHE_CAPACITY: usize = 4096;
 const PLAN_CACHE_SHARDS_PER_WORKER: usize = 4;
 
 impl Service {
-    /// Starts a service with `config.workers` worker threads reading from
-    /// `catalog`.
+    /// Starts a service reading from `catalog`, with its maintenance
+    /// thread.
     pub fn new(catalog: Arc<Catalog>, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
+        let queue_capacity = config.queue_capacity.max(1);
         // Shard the histograms for the threads that record concurrently:
-        // the workers plus the submitter-side stages (parse, plan lookup,
-        // single estimates, feedback) and the maintenance thread.
+        // the expected callers plus the maintenance thread and one spare.
         let obs = config
             .observability
             .then(|| Arc::new(Obs::new(workers + 2)));
-        let shared = Arc::new(Shared {
-            queues: (0..workers)
-                .map(|_| QueueShard {
-                    jobs: Mutex::new(VecDeque::new()),
-                    ready: Condvar::new(),
-                    depth: AtomicUsize::new(0),
-                })
-                .collect(),
-            queue_capacity: config.queue_capacity.max(1),
-            shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            peak_queued: AtomicUsize::new(0),
-            executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            obs: obs.clone(),
-            shedding: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
-            .map(|id| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("xseed-worker-{id}"))
-                    .spawn(move || worker_loop(shared, id))
-                    .expect("spawn estimation worker")
-            })
-            .collect();
         let maintenance = Arc::new(MaintenanceShared {
             jobs: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -772,17 +486,24 @@ impl Service {
         };
         Service {
             catalog,
-            plans: Arc::new(
-                PlanCache::new(workers * PLAN_CACHE_SHARDS_PER_WORKER, PLAN_CACHE_CAPACITY)
-                    .with_obs(obs.clone()),
-            ),
-            shared,
+            plans: PlanCache::new(workers * PLAN_CACHE_SHARDS_PER_WORKER, PLAN_CACHE_CAPACITY)
+                .with_obs(obs.clone()),
+            workers,
+            queue_capacity,
+            admission: Admission {
+                reserved: AtomicUsize::new(0),
+                capacity: workers.saturating_mul(queue_capacity),
+                accepted: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                peak_queued: AtomicUsize::new(0),
+                executed: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                shedding: AtomicBool::new(false),
+            },
             maintenance,
             persist: PersistCounters::default(),
             net: NetCounters::default(),
-            handles,
             maintenance_handle: Some(maintenance_handle),
-            next_queue: AtomicUsize::new(0),
             started: Instant::now(),
             obs,
         }
@@ -885,10 +606,9 @@ impl Service {
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plans
     }
-
-    /// Worker thread count.
+    /// [`ServiceConfig::workers`], clamped to at least 1.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.workers
     }
 
     fn resolve(&self, doc: &str) -> Result<SynopsisSnapshot, ServiceError> {
@@ -897,101 +617,64 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownDocument(doc.to_string()))
     }
 
-    /// Submits one query for estimation against `doc`'s current snapshot,
-    /// round-robined onto a worker queue (falling back to siblings when
-    /// the preferred queue is full). Returns immediately;
-    /// [`ServiceError::Overloaded`] when every queue's budget is
-    /// exhausted.
-    pub fn submit(&self, doc: &str, query: &str) -> Result<PendingEstimate, ServiceError> {
-        let queue = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.workers();
-        self.submit_inner(queue, doc, query, false)
-    }
-
-    /// Like [`Service::submit`], but pinned to a specific worker queue —
-    /// callers with document-affinity (or tests exercising the stealing
-    /// path) can direct related requests at one shard. Pinned requests do
-    /// not fall back: a full pinned queue sheds immediately.
-    pub fn submit_pinned(
-        &self,
-        queue: usize,
-        doc: &str,
-        query: &str,
-    ) -> Result<PendingEstimate, ServiceError> {
-        self.submit_inner(queue, doc, query, true)
-    }
-
-    fn submit_inner(
-        &self,
-        queue: usize,
-        doc: &str,
-        query: &str,
-        pinned: bool,
-    ) -> Result<PendingEstimate, ServiceError> {
-        let snapshot = self.resolve(doc)?;
-        let plan = self.plans.get_or_parse(query)?;
-        let Some(queue) = self.shared.admit(queue, 1, pinned) else {
-            return Err(self.shed(1));
-        };
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
-        let (tx, rx) = mpsc::channel();
-        self.shared.push(
-            queue,
-            Work::Estimate(Job {
-                snapshot,
-                plan,
-                reply: tx,
-            }),
-        );
-        Ok(PendingEstimate { rx })
-    }
-
-    /// Records a shed of `cost` queries and builds the overload error.
-    fn shed(&self, cost: usize) -> ServiceError {
-        self.shared.shed.fetch_add(cost as u64, Ordering::Relaxed);
-        self.shared.note_shed();
-        ServiceError::Overloaded {
-            queued: self.shared.total_queued(),
-            capacity: self.shared.queue_capacity * self.workers(),
+    /// Reserves `queries` of admission budget, all or nothing, for as
+    /// long as the returned [`Reservation`] lives. When the free budget
+    /// cannot cover them the call sheds with [`ServiceError::Overloaded`]
+    /// and counts them in [`ServiceStats::shed`]; otherwise they count in
+    /// [`ServiceStats::accepted`], and in [`ServiceStats::queued`] until
+    /// the reservation drops. Every estimate and feedback reserves its
+    /// cost here, so a flooding client sheds instead of consuming
+    /// unbounded CPU; a caller holding a reservation leaves that much
+    /// less budget to everyone else.
+    pub fn reserve(&self, queries: usize) -> Result<Reservation<'_>, ServiceError> {
+        let admission = &self.admission;
+        let reserved =
+            admission
+                .reserved
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                    (queries <= admission.capacity.saturating_sub(held)).then_some(held + queries)
+                });
+        match reserved {
+            Ok(held) => {
+                admission
+                    .accepted
+                    .fetch_add(queries as u64, Ordering::Relaxed);
+                admission
+                    .peak_queued
+                    .fetch_max(held + queries, Ordering::Relaxed);
+                // Trace the end of a shed burst; outside one this costs a
+                // relaxed load.
+                if let Some(obs) = &self.obs {
+                    if admission.shedding.load(Ordering::Relaxed)
+                        && admission.shedding.swap(false, Ordering::Relaxed)
+                    {
+                        obs.trace().record(TraceKind::ShedOff, "admission");
+                    }
+                }
+                Ok(Reservation {
+                    reserved: &admission.reserved,
+                    queries,
+                })
+            }
+            Err(held) => {
+                admission.shed.fetch_add(queries as u64, Ordering::Relaxed);
+                if let Some(obs) = &self.obs {
+                    if !admission.shedding.swap(true, Ordering::Relaxed) {
+                        obs.trace().record(TraceKind::ShedOn, "admission");
+                    }
+                }
+                Err(ServiceError::Overloaded {
+                    queued: held,
+                    capacity: admission.capacity,
+                })
+            }
         }
     }
 
-    /// Pauses the worker that owns `queue`: a fence is enqueued (bypassing
-    /// the queue budget) and the worker parks on it until the returned
-    /// guard is dropped. Jobs queued behind the fence stay queued — on a
-    /// multi-worker service siblings may steal them, so pausing *all*
-    /// workers quiesces the pool for maintenance. Used by the overload
-    /// tests to make shedding deterministic.
-    ///
-    /// Shutdown overrides the fence: dropping the [`Service`] while a
-    /// guard is alive releases the parked worker (within the fence's
-    /// poll interval) instead of hanging the join.
-    pub fn pause_worker(&self, queue: usize) -> WorkerPause {
-        let (reached_tx, reached_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
-        self.shared.push(
-            queue % self.workers(),
-            Work::Fence {
-                reached: reached_tx,
-                release: release_rx,
-            },
-        );
-        WorkerPause {
-            _release: release_tx,
-            reached: reached_rx,
-        }
-    }
-
-    /// Estimates one query **on the calling thread**: the caller blocks
-    /// for the answer anyway, so the estimate skips the worker queues
-    /// and runs exactly what a worker runs for a one-plan job. It is
-    /// admission-controlled like queued work — it reserves one query of
-    /// queue budget for its duration and sheds with
-    /// [`ServiceError::Overloaded`] when the service is saturated — and
+    /// Estimates one query on the calling thread. It reserves one query
+    /// of admission budget for its duration, sheds with
+    /// [`ServiceError::Overloaded`] when the service is saturated, and
     /// counts in [`ServiceStats::executed`] and [`ServiceStats::batches`].
-    /// Callers that want the worker pool to cap the CPU spent on
-    /// estimation use [`Service::submit`] instead.
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
@@ -1028,11 +711,10 @@ impl Service {
         })
     }
 
-    /// Runs `plans` as one job on the calling thread: reserves their cost
-    /// (see `RESERVE_PIECE`), runs `estimate`, then counts the queries in
-    /// the first reserved queue's `executed` slot, one job in `batches`,
-    /// and for more than one query one [`Stage::BatchChunk`] sample, and
-    /// releases the reservation.
+    /// Runs `plans` as one job on the calling thread: reserves their
+    /// cost, runs `estimate`, then counts the queries in `executed`, one
+    /// job in `batches`, and for more than one query one
+    /// [`Stage::BatchChunk`] sample, and releases the reservation.
     fn run_inline<T>(
         &self,
         snapshot: &SynopsisSnapshot,
@@ -1040,7 +722,7 @@ impl Service {
         estimate: impl FnOnce(&SynopsisSnapshot, &[Arc<QueryPlan>]) -> T,
     ) -> Result<T, ServiceError> {
         let n = plans.len();
-        let placements = self.reserve(n, self.workers().min(n.div_ceil(RESERVE_PIECE)))?;
+        let _reservation = self.reserve(n)?;
         let chunk_timer = self
             .obs
             .as_ref()
@@ -1050,11 +732,10 @@ impl Service {
         if let Some((obs, started)) = chunk_timer {
             obs.record(Stage::BatchChunk, started.elapsed());
         }
-        if let Some(&(queue, _)) = placements.first() {
-            self.shared.executed[queue].fetch_add(n as u64, Ordering::Relaxed);
-        }
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        self.shared.release_all(&placements);
+        self.admission
+            .executed
+            .fetch_add(n as u64, Ordering::Relaxed);
+        self.admission.batches.fetch_add(1, Ordering::Relaxed);
         Ok(result)
     }
 
@@ -1079,36 +760,6 @@ impl Service {
         RebuildTicket { rx }
     }
 
-    /// Reserves `cost` queries of admission budget split into `pieces`
-    /// near-equal parts on consecutive round-robin queues (each falling
-    /// back to siblings), all or nothing: when a part fits nowhere, every
-    /// part already reserved is released and the whole cost sheds with
-    /// [`ServiceError::Overloaded`]. The same backpressure guards queued
-    /// work and work run on the calling thread (estimates, feedback), so a
-    /// flooding client sheds instead of consuming unbounded CPU. Returns
-    /// the `(queue, cost)` parts; the caller releases them.
-    fn reserve(&self, cost: usize, pieces: usize) -> Result<Vec<(usize, usize)>, ServiceError> {
-        let piece = cost.div_ceil(pieces);
-        let base = self.next_queue.fetch_add(pieces, Ordering::Relaxed);
-        let mut placements = Vec::with_capacity(pieces);
-        let mut left = cost;
-        while left > 0 {
-            let part = piece.min(left);
-            let Some(queue) = self.shared.admit(base + placements.len(), part, false) else {
-                self.shared.release_all(&placements);
-                return Err(self.shed(cost));
-            };
-            placements.push((queue, part));
-            left -= part;
-        }
-        self.shared
-            .accepted
-            .fetch_add(cost as u64, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
-        Ok(placements)
-    }
-
     /// Feeds back the observed cardinality of an executed query — the
     /// paper's Figure 1 arrow from the optimizer back to the HET, through
     /// the serving layer. The query resolves through the plan cache, the
@@ -1117,7 +768,7 @@ impl Service {
     /// entry's writer lock (epoch bump + fresh snapshot; unsupported
     /// shapes change nothing). The work runs on the calling thread but is
     /// **admission-controlled** like an estimate: it reserves one query of
-    /// queue budget for its duration and sheds with
+    /// budget for its duration and sheds with
     /// [`ServiceError::Overloaded`] when the service is saturated. When
     /// the document's maintenance policy declares the drift due, a
     /// rebuild is queued on the maintenance thread and the returned
@@ -1132,7 +783,7 @@ impl Service {
         base: Option<u64>,
     ) -> Result<ServiceFeedback, ServiceError> {
         let plan = self.plans.get_or_parse(query)?;
-        let placements = self.reserve(1, 1)?;
+        let reservation = self.reserve(1)?;
         let started = Instant::now();
         let result = self
             .catalog
@@ -1141,7 +792,7 @@ impl Service {
         if let Some(obs) = &self.obs {
             obs.record(Stage::FeedbackApply, started.elapsed());
         }
-        self.shared.release_all(&placements);
+        drop(reservation);
         let fb = result?;
         self.maintenance.note_outcome(fb.report.outcome);
         self.note_q_error(&fb.report, actual);
@@ -1174,7 +825,7 @@ impl Service {
                 })
             })
             .collect::<Result<Vec<_>, ServiceError>>()?;
-        let placements = self.reserve(items.len(), 1)?;
+        let reservation = self.reserve(items.len())?;
         let started = Instant::now();
         let result = self
             .catalog
@@ -1183,7 +834,7 @@ impl Service {
         if let Some(obs) = &self.obs {
             obs.record(Stage::FeedbackApply, started.elapsed());
         }
-        self.shared.release_all(&placements);
+        drop(reservation);
         let batch: CatalogFeedbackBatch = result?;
         for (report, item) in batch.reports.iter().zip(&items) {
             self.maintenance.note_outcome(report.outcome);
@@ -1200,8 +851,10 @@ impl Service {
     /// Pauses the maintenance thread: a fence is enqueued and the thread
     /// parks on it until the returned guard drops, so tests can pile up
     /// feedback triggers and observe rebuilds draining deterministically.
-    /// Rebuild jobs queued behind the fence stay queued; shutdown
-    /// overrides the fence exactly like [`Service::pause_worker`].
+    /// Rebuild jobs queued behind the fence stay queued. Shutdown
+    /// overrides the fence: dropping the [`Service`] while a guard is
+    /// alive releases the parked thread within its 50 ms shutdown poll
+    /// instead of hanging the join.
     pub fn pause_maintenance(&self) -> WorkerPause {
         let (reached_tx, reached_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
@@ -1223,11 +876,10 @@ impl Service {
     /// job.
     ///
     /// Admission is all-or-nothing and happens before anything runs: the
-    /// batch's cost is spread over `min(workers, ceil(n / 8))` queue
-    /// budgets, and either every part fits and the batch runs whole, or
-    /// nothing runs and the call sheds with [`ServiceError::Overloaded`].
-    /// A batch larger than the total queue budget therefore always sheds
-    /// — split it client side.
+    /// batch reserves its query count, and either the free budget covers
+    /// it and the batch runs whole, or nothing runs and the call sheds
+    /// with [`ServiceError::Overloaded`]. A batch larger than the whole
+    /// budget therefore always sheds — split it client side.
     pub fn estimate_batch(&self, doc: &str, queries: &[&str]) -> Result<Vec<f64>, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plans = self.plans.get_or_parse_batch(queries)?;
@@ -1241,21 +893,16 @@ impl Service {
 
     /// Current service counters.
     pub fn stats(&self) -> ServiceStats {
+        let admission = &self.admission;
         ServiceStats {
-            workers: self.workers(),
-            queue_capacity: self.shared.queue_capacity,
-            executed: self
-                .shared
-                .executed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            queued: self.shared.total_queued(),
-            peak_queued: self.shared.peak_queued.load(Ordering::Relaxed),
+            workers: self.workers,
+            queue_capacity: self.queue_capacity,
+            executed: admission.executed.load(Ordering::Relaxed),
+            batches: admission.batches.load(Ordering::Relaxed),
+            accepted: admission.accepted.load(Ordering::Relaxed),
+            shed: admission.shed.load(Ordering::Relaxed),
+            queued: admission.reserved.load(Ordering::Relaxed),
+            peak_queued: admission.peak_queued.load(Ordering::Relaxed),
             feedback_applied: self.maintenance.feedback_applied.load(Ordering::Relaxed),
             feedback_ignored: self.maintenance.feedback_ignored.load(Ordering::Relaxed),
             rebuilds_triggered: self.maintenance.rebuilds_triggered.load(Ordering::Relaxed),
@@ -1274,36 +921,30 @@ impl Service {
     }
 }
 
-/// Guard returned by [`Service::pause_worker`]. The paused worker resumes
-/// when the guard is dropped (or [`WorkerPause::resume`] is called).
+/// Guard returned by [`Service::pause_maintenance`]. The maintenance
+/// thread resumes when the guard is dropped (or [`WorkerPause::resume`]
+/// is called).
 pub struct WorkerPause {
     _release: mpsc::Sender<()>,
     reached: mpsc::Receiver<()>,
 }
 
 impl WorkerPause {
-    /// Blocks until the worker has actually reached the fence (i.e. it is
-    /// parked and will execute nothing queued behind it).
+    /// Blocks until the thread has actually reached the fence (i.e. it is
+    /// parked and will run nothing queued behind it).
     pub fn wait_until_paused(&self) {
-        // The worker *drops* its end on arrival; RecvError is the signal.
+        // The thread *drops* its end on arrival; RecvError is the signal.
         let _ = self.reached.recv();
     }
 
-    /// Resumes the worker (equivalent to dropping the guard).
+    /// Resumes the thread (equivalent to dropping the guard).
     pub fn resume(self) {}
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
         self.maintenance.shutdown.store(true, Ordering::Release);
-        for shard in &self.shared.queues {
-            shard.ready.notify_all();
-        }
         self.maintenance.ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
         if let Some(handle) = self.maintenance_handle.take() {
             let _ = handle.join();
         }
@@ -1345,7 +986,7 @@ mod tests {
             assert!((got - expected).abs() < 1e-9, "{q}");
         }
         let stats = service.stats();
-        assert_eq!(stats.total_executed(), 4);
+        assert_eq!(stats.executed, 4);
         assert_eq!(stats.plan_cache.misses, 4);
     }
 
@@ -1381,28 +1022,16 @@ mod tests {
             service.estimate("fig2", "/["),
             Err(ServiceError::Parse(_))
         ));
-        // Errors render.
-        assert!(format!("{}", ServiceError::Disconnected).contains("shut down"));
     }
 
     #[test]
-    fn pinned_submissions_are_stolen_by_idle_workers() {
+    fn repeated_queries_parse_once() {
         let service = fig2_service(4);
-        // Pile everything onto worker 0's queue; with 4 workers the
-        // siblings must steal at least some of it.
-        let pending: Vec<PendingEstimate> = (0..64)
-            .map(|_| service.submit_pinned(0, "fig2", "//s//p").unwrap())
-            .collect();
-        for p in pending {
-            p.wait().unwrap();
+        for _ in 0..64 {
+            service.estimate("fig2", "//s//p").unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.total_executed(), 64);
-        assert!(
-            stats.steals > 0 || stats.executed[0] == 64,
-            "either siblings stole or worker 0 drained everything: {stats:?}"
-        );
-        // On a multi-queue pile-up the plan cache should have one miss.
+        assert_eq!(stats.executed, 64);
         assert_eq!(stats.plan_cache.misses, 1);
         assert_eq!(stats.plan_cache.hits, 63);
     }
@@ -1459,62 +1088,25 @@ mod tests {
     }
 
     #[test]
-    fn paused_worker_makes_sheds_deterministic() {
+    fn held_budget_makes_sheds_deterministic() {
         let service = fig2_service_with(ServiceConfig::with_workers(1).with_queue_capacity(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-
-        let mut pending = Vec::new();
-        let mut sheds = 0;
-        for _ in 0..5 {
-            match service.submit("fig2", "/a/c/s") {
-                Ok(p) => pending.push(p),
-                Err(ServiceError::Overloaded { queued, capacity }) => {
-                    assert_eq!((queued, capacity), (2, 2));
-                    sheds += 1;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
+        let held = service.reserve(2).unwrap();
+        for _ in 0..3 {
+            assert!(matches!(
+                service.estimate("fig2", "/a/c/s"),
+                Err(ServiceError::Overloaded {
+                    queued: 2,
+                    capacity: 2
+                })
+            ));
         }
-        assert_eq!((pending.len(), sheds), (2, 3));
         let stats = service.stats();
         assert_eq!((stats.accepted, stats.shed), (2, 3));
         assert_eq!((stats.queued, stats.peak_queued), (2, 2));
 
-        pause.resume();
-        for p in pending {
-            assert!((p.wait().unwrap() - 5.0).abs() < 1e-9);
-        }
+        drop(held);
         assert_eq!(service.stats().queued, 0);
-    }
-
-    #[test]
-    fn dropping_the_service_releases_a_live_fence() {
-        let service = fig2_service_with(ServiceConfig::with_workers(1));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-        // Shutdown must override the fence: this would hang forever if
-        // the parked worker only listened to the guard.
-        drop(service);
-        drop(pause);
-    }
-
-    #[test]
-    fn siblings_steal_past_a_fence() {
-        let service = fig2_service_with(ServiceConfig::with_workers(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-        // Work pinned behind the fence is stolen by the idle sibling.
-        let pending: Vec<PendingEstimate> = (0..8)
-            .map(|_| service.submit_pinned(0, "fig2", "//p").unwrap())
-            .collect();
-        for p in pending {
-            assert!((p.wait().unwrap() - 17.0).abs() < 1e-9);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.executed[0], 0, "paused worker must not execute");
-        assert_eq!(stats.executed[1], 8);
-        drop(pause);
+        assert!((service.estimate("fig2", "/a/c/s").unwrap() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1588,14 +1180,10 @@ mod tests {
 
     #[test]
     fn feedback_is_admission_controlled() {
-        // Fill the whole queue budget with a fenced worker: feedback must
-        // shed like an estimate would, and must not leak budget when it
-        // runs.
+        // Hold the whole budget: feedback must shed like an estimate
+        // would, and must not leak budget when it runs.
         let service = fig2_service_with(ServiceConfig::with_workers(1).with_queue_capacity(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-        let _a = service.submit("fig2", "/a/c/s").unwrap();
-        let _b = service.submit("fig2", "/a/c/s").unwrap();
+        let held = service.reserve(2).unwrap();
         assert!(matches!(
             service.feedback("fig2", "/a/c/s", 5, None),
             Err(ServiceError::Overloaded { .. })
@@ -1604,7 +1192,7 @@ mod tests {
             service.feedback_batch("fig2", &[("/a/c/s", 5, None)]),
             Err(ServiceError::Overloaded { .. })
         ));
-        // Single estimates run on the calling thread but take budget too.
+        // Single estimates take budget too.
         assert!(matches!(
             service.estimate("fig2", "/a/c/s"),
             Err(ServiceError::Overloaded { .. })
@@ -1615,10 +1203,8 @@ mod tests {
         ));
         let shed_before = service.stats().shed;
         assert_eq!(shed_before, 4);
-        pause.resume();
-        _a.wait().unwrap();
-        _b.wait().unwrap();
-        // Budget drained: feedback and single estimates admit and release
+        drop(held);
+        // Budget free: feedback and single estimates admit and release
         // their reservations.
         let fb = service.feedback("fig2", "/a/c/s", 5, None).unwrap();
         assert_eq!(fb.report.outcome, xseed_core::FeedbackOutcome::SimplePath);
@@ -1628,113 +1214,66 @@ mod tests {
     }
 
     #[test]
-    fn single_estimates_never_wait_for_a_worker() {
+    fn estimates_are_bit_exact_and_counted_once() {
         const QUERY: &str = "/a/c/s[t]/p";
-        let unfenced = fig2_service(2);
-        let expected = (
-            unfenced.estimate("fig2", QUERY).unwrap(),
-            unfenced.estimate_bound("fig2", QUERY).unwrap(),
-        );
-
-        let service = Arc::new(fig2_service(2));
-        let pauses: Vec<WorkerPause> = (0..2).map(|q| service.pause_worker(q)).collect();
-        for pause in &pauses {
-            pause.wait_until_paused();
-        }
-        let before = service.stats();
-        // A helper thread makes the calls, so a single estimate that did
-        // wait on a fenced worker fails the timeout below instead of
-        // hanging the test.
-        let (tx, rx) = mpsc::channel();
-        let helper = {
-            let service = service.clone();
-            std::thread::spawn(move || {
-                let point = service.estimate("fig2", QUERY).unwrap();
-                let bounded = service.estimate_bound("fig2", QUERY).unwrap();
-                let _ = tx.send((point, bounded));
-            })
-        };
-        let (point, bounded) = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("single estimates must not wait for a worker");
-        helper.join().unwrap();
-        assert_eq!(point.to_bits(), expected.0.to_bits());
-        assert_eq!(bounded, expected.1);
-
-        let after = service.stats();
-        assert_eq!(after.accepted - before.accepted, 2);
-        assert_eq!(after.total_executed() - before.total_executed(), 2);
-        assert_eq!(after.batches - before.batches, 2);
-        assert_eq!(after.queued, 0);
-        drop(pauses);
-    }
-
-    #[test]
-    fn batches_never_wait_for_a_worker() {
         // The whole default budget of two workers (2 × 1,024 queries).
         let queries: Vec<&str> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*"]
             .into_iter()
             .cycle()
             .take(2048)
             .collect();
-        let expected = fig2_service(2).estimate_batch("fig2", &queries).unwrap();
-
-        let service = Arc::new(fig2_service(2));
-        let pauses: Vec<WorkerPause> = (0..2).map(|q| service.pause_worker(q)).collect();
-        for pause in &pauses {
-            pause.wait_until_paused();
-        }
-        let before = service.stats();
-        let (tx, rx) = mpsc::channel();
-        let helper = {
-            let service = service.clone();
-            let queries = queries.clone();
-            std::thread::spawn(move || {
-                let _ = tx.send(service.estimate_batch("fig2", &queries).unwrap());
-            })
-        };
-        let batch = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a batch must not wait for a worker");
-        helper.join().unwrap();
+        let service = fig2_service(2);
+        let snapshot = service.catalog().snapshot("fig2").unwrap();
+        let mut matcher = snapshot.matcher();
+        let parse = |q: &str| xpathkit::parse(q).unwrap();
         let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let expected: Vec<f64> = queries
+            .iter()
+            .map(|q| matcher.estimate(&parse(q)))
+            .collect();
+
+        let point = service.estimate("fig2", QUERY).unwrap();
+        assert_eq!(point.to_bits(), matcher.estimate(&parse(QUERY)).to_bits());
+        let bounded = service.estimate_bound("fig2", QUERY).unwrap();
+        assert_eq!(bounded, matcher.estimate_bound(&parse(QUERY)));
+        let batch = service.estimate_batch("fig2", &queries).unwrap();
         assert_eq!(bits(&batch), bits(&expected));
 
-        let after = service.stats();
-        let n = queries.len() as u64;
-        assert_eq!(after.accepted - before.accepted, n);
-        assert_eq!(after.total_executed() - before.total_executed(), n);
-        assert_eq!(after.batches - before.batches, 1);
-        assert_eq!(after.steals, before.steals);
-        assert_eq!(after.queued, 0);
+        let stats = service.stats();
+        let n = 2 + queries.len() as u64;
+        assert_eq!((stats.accepted, stats.executed), (n, n));
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.queued, 0);
         let obs = service.obs().expect("observability is on by default");
         assert_eq!(obs.latency(Stage::BatchChunk).count(), 1);
-        drop(pauses);
     }
 
     #[test]
     fn batches_up_to_the_total_queue_budget_are_admitted() {
-        // 4 workers × 300 queries: a batch spreads over every queue, so it
-        // is admitted up to the whole budget even though no single queue
-        // holds more than 300.
-        let service = fig2_service_with(ServiceConfig::with_workers(4).with_queue_capacity(300));
-        let batch = |n: usize| {
-            let queries: Vec<&str> = ["/a/c/s", "//s//p"].into_iter().cycle().take(n).collect();
-            service.estimate_batch("fig2", &queries)
-        };
-        assert_eq!(batch(1100).unwrap().len(), 1100);
-        assert_eq!(batch(1200).unwrap().len(), 1200);
-        assert!(matches!(
-            batch(1201),
-            Err(ServiceError::Overloaded {
-                queued: 0,
-                capacity: 1200
-            })
-        ));
-        let stats = service.stats();
-        assert_eq!(stats.accepted, 2300);
-        assert_eq!(stats.shed, 1201);
-        assert_eq!(stats.queued, 0);
+        // The budget is one count of `workers × queue_capacity` queries,
+        // so an idle service admits any batch up to the whole of it, also
+        // one larger than a single worker's share (1,100 > 300, 5 > 4).
+        for (workers, queue_capacity, fits, whole) in [(4, 300, 1100, 1200), (2, 4, 5, 8)] {
+            let service = fig2_service_with(
+                ServiceConfig::with_workers(workers).with_queue_capacity(queue_capacity),
+            );
+            let batch = |n: usize| {
+                let queries: Vec<&str> = ["/a/c/s", "//s//p"].into_iter().cycle().take(n).collect();
+                service.estimate_batch("fig2", &queries)
+            };
+            assert_eq!(batch(fits).unwrap().len(), fits);
+            assert_eq!(batch(whole).unwrap().len(), whole);
+            match batch(whole + 1) {
+                Err(ServiceError::Overloaded { queued, capacity }) => {
+                    assert_eq!((queued, capacity), (0, whole));
+                }
+                other => panic!("a batch past the budget must shed: {other:?}"),
+            }
+            let stats = service.stats();
+            assert_eq!(stats.accepted, (fits + whole) as u64);
+            assert_eq!(stats.shed, whole as u64 + 1);
+            assert_eq!(stats.queued, 0);
+        }
     }
 
     #[test]

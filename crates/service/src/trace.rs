@@ -40,7 +40,7 @@ pub enum TraceKind {
     RateLimitOn,
     /// The connection's bucket refilled enough to admit again.
     RateLimitOff,
-    /// A worker or the maintenance thread reached a pause fence.
+    /// The maintenance thread reached a pause fence.
     Pause,
     /// A paused thread resumed.
     Resume,
@@ -73,7 +73,7 @@ pub struct TraceEvent {
     pub at_ms: u64,
     /// What happened.
     pub kind: TraceKind,
-    /// The subject — a document name, `worker-N`, `maintenance`,
+    /// The subject — a document name, `maintenance`,
     /// `connections`, or `conn-N` (a TCP session's token, for rate-limit
     /// transitions).
     pub subject: String,
@@ -207,7 +207,7 @@ mod tests {
                 let ring = ring.clone();
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        ring.record(TraceKind::Pause, &format!("worker-{t}"));
+                        ring.record(TraceKind::Pause, &format!("thread-{t}"));
                     }
                 })
             })

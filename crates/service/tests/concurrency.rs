@@ -125,7 +125,7 @@ fn service_concurrent_clients_match_direct_estimates() {
             });
         }
     });
-    assert!(service.stats().total_executed() >= 4 * queries.len() as u64);
+    assert!(service.stats().executed >= 4 * queries.len() as u64);
 }
 
 #[test]

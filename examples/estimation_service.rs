@@ -1,6 +1,6 @@
-//! The estimation service end to end: a catalog of named synopses, a
-//! worker pool estimating from shared snapshots, batches over one
-//! snapshot pass, admission control shedding excess load, and a live
+//! The estimation service end to end: a catalog of named synopses,
+//! estimates from shared snapshots on the calling thread, batches over
+//! one snapshot pass, admission control shedding excess load, and a live
 //! update that republishes a new epoch without disturbing in-flight
 //! readers.
 //!
@@ -21,8 +21,8 @@ fn main() {
     let config = XseedConfig::recursive_for_size(treebank.element_count());
     catalog.insert("treebank", XseedSynopsis::build(&treebank, config));
 
-    // A service with 4 workers, each with its own request queue (idle
-    // workers steal from busy siblings).
+    // A service sized for 4 concurrent callers: they share an admission
+    // budget of 4 × 1,024 queries.
     let service = Service::new(catalog.clone(), ServiceConfig::with_workers(4));
 
     // Single estimates: text in, cardinality out. The parsed plan is
@@ -69,8 +69,8 @@ fn main() {
         old.estimate(&q)
     );
 
-    // Admission control: a batch larger than the whole queue budget is
-    // shed with a structured error instead of queueing without bound —
+    // Admission control: a batch larger than the whole budget is
+    // shed with a structured error instead of running without bound —
     // the daemon turns this into the protocol's OVERLOADED reply.
     let tiny = Service::new(
         catalog.clone(),
@@ -87,12 +87,11 @@ fn main() {
 
     let stats = service.stats();
     println!(
-        "service stats: {} workers, {} estimates, {} batches, {} steals, \
+        "service stats: {} workers, {} estimates, {} batches, \
          {} accepted / {} shed (peak queue {} of {}), plan cache {}/{} hits",
         stats.workers,
-        stats.total_executed(),
+        stats.executed,
         stats.batches,
-        stats.steals,
         stats.accepted,
         stats.shed,
         stats.peak_queued,

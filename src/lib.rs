@@ -12,7 +12,7 @@
 //! | [`xseed_core`] | **the XSEED synopsis**: kernel, estimator, hyper-edge table |
 //! | [`treesketch`] | the TreeSketch baseline synopsis |
 //! | [`datagen`] | synthetic datasets and SP/BP/CP workloads |
-//! | [`xseed_service`] | the concurrent estimation service (catalog, worker pool, `xseed-serve`) |
+//! | [`xseed_service`] | the concurrent estimation service (catalog, admission control, `xseed-serve`) |
 //! | [`xseed_bench`] | the experiment harness regenerating every table and figure |
 //!
 //! ## Quickstart
