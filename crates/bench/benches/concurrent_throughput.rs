@@ -1,7 +1,7 @@
 //! Concurrent estimation-service throughput.
 //!
 //! Measures the [`xseed_service::Service`] pipeline (catalog snapshot →
-//! sharded plan cache → admission → shared-frontier-memo batch executor)
+//! sharded plan cache → admission → one shared-frontier-memo matcher)
 //! over SP/BP/CP workloads, each sent as one batch, against the
 //! pre-service single-threaded client baseline (parse the text, call
 //! `XseedSynopsis::estimate` per query). Also measures the
@@ -149,7 +149,7 @@ fn service_pass(service: &Service, doc: &str, texts: &[String]) -> usize {
 }
 
 /// Batched pass compiling every estimate from its expression — the
-/// compiled-cache-**off** shape (what the batch executor did before the
+/// compiled-cache-**off** shape (what the service's executor did before the
 /// per-snapshot compiled cache existed).
 fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
     let mut matcher = snapshot.matcher();

@@ -1,16 +1,15 @@
-//! Estimate-throughput bench: one-shot `estimate()` before/after the
-//! streaming rewrite, plus batched estimator reuse.
+//! Estimate-throughput bench: the two ways callers reach the streaming
+//! matcher — a one-off `XseedSynopsis::estimate()` per query, and one
+//! `SynopsisSnapshot::matcher()` reused across the workload.
 //!
-//! The seed's `XseedSynopsis::estimate()` regenerated the full expanded
-//! path tree arena for every call; the streaming path matches the query
-//! directly against a cached frozen-kernel snapshot. This bench measures
-//! estimates/sec for both behaviors on an XMark workload and a recursive
-//! Treebank-style workload, and records the results (and the one-shot
-//! speedup) in `BENCH_estimate_throughput.json` at the workspace root.
+//! Both replay the snapshot's frontier memo; the reused matcher also
+//! keeps its scratch buffers warm. This bench measures estimates/sec for
+//! both on an XMark workload and a recursive Treebank-style workload,
+//! and records the results (with the CPU count) in
+//! `BENCH_estimate_throughput.json` at the workspace root.
 //!
 //! Set `ESTIMATE_SMOKE=1` to run a single pass per measurement and skip
-//! the JSON write (the CI smoke mode keeping every measured path —
-//! regenerating, one-shot, batched materialized, batched memo replay —
+//! the JSON write (the CI smoke mode keeping both measured paths
 //! compiling and exercised).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,7 +17,7 @@ use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 use std::time::Instant;
 use xpathkit::ast::PathExpr;
 use xseed_bench::report::json_throughput_entry;
-use xseed_core::{ExpandedPathTree, Matcher, XseedConfig, XseedSynopsis};
+use xseed_core::{XseedConfig, XseedSynopsis};
 
 struct Scenario {
     name: &'static str,
@@ -49,12 +48,6 @@ fn scenarios() -> Vec<Scenario> {
         });
     }
     out
-}
-
-/// The seed's one-shot behavior: regenerate the EPT arena per query.
-fn estimate_regenerating(synopsis: &XseedSynopsis, query: &PathExpr) -> f64 {
-    let ept = ExpandedPathTree::generate(synopsis.kernel(), synopsis.config(), synopsis.het());
-    Matcher::new(synopsis.kernel(), &ept, synopsis.het()).estimate(query)
 }
 
 /// `true` when the CI smoke mode is active: one pass per measurement,
@@ -89,25 +82,18 @@ fn time_per_estimate(queries: &[PathExpr], mut f: impl FnMut(&PathExpr) -> f64) 
     start.elapsed().as_nanos() as f64 / (rounds as f64 * queries.len() as f64)
 }
 
-fn write_baseline(results: &[(String, usize, f64, f64, f64, f64)]) {
-    let mut body = String::from("{\n  \"bench\": \"estimate_throughput\",\n  \"datasets\": {\n");
-    for (i, (name, queries, regen, streaming, batched_mat, batched_memo)) in
-        results.iter().enumerate()
-    {
+fn write_baseline(results: &[(String, usize, f64, f64)]) {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut body = format!(
+        "{{\n  \"bench\": \"estimate_throughput\",\n  \"cpus_available\": {cpus},\n  \"datasets\": {{\n"
+    );
+    for (i, (name, queries, one_shot, reused)) in results.iter().enumerate() {
         body.push_str(&format!(
             "    \"{name}\": {{\n      \"queries\": {queries},\n      \
-             \"one_shot_regenerate_per_query\": {},\n      \
              \"one_shot_streaming\": {},\n      \
-             \"batched_materialized\": {},\n      \
-             \"batched_streaming_memo\": {},\n      \
-             \"speedup_one_shot\": {:.2},\n      \
-             \"memo_vs_materialized\": {:.2}\n    }}{}\n",
-            json_throughput_entry(*regen),
-            json_throughput_entry(*streaming),
-            json_throughput_entry(*batched_mat),
-            json_throughput_entry(*batched_memo),
-            regen / streaming,
-            batched_mat / batched_memo,
+             \"batched_streaming_memo\": {}\n    }}{}\n",
+            json_throughput_entry(*one_shot),
+            json_throughput_entry(*reused),
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -133,11 +119,6 @@ fn throughput_benches(c: &mut Criterion) {
             let s = &scenario.synopsis;
             let qs = &scenario.queries;
             group.bench_with_input(
-                BenchmarkId::new("one_shot_regenerate", scenario.name),
-                &(),
-                |b, _| b.iter(|| estimate_regenerating(s, &qs[0])),
-            );
-            group.bench_with_input(
                 BenchmarkId::new("one_shot_streaming", scenario.name),
                 &(),
                 |b, _| b.iter(|| s.estimate(&qs[0])),
@@ -149,37 +130,20 @@ fn throughput_benches(c: &mut Criterion) {
     for scenario in &scenarios {
         let s = &scenario.synopsis;
         let qs = &scenario.queries;
-        let regen = time_per_estimate(qs, |q| estimate_regenerating(s, q));
-        let streaming = time_per_estimate(qs, |q| s.estimate(q));
-        let batched_mat = {
-            let estimator = s.estimator();
-            time_per_estimate(qs, |q| estimator.estimate(q))
-        };
-        let batched_memo = {
-            let mut matcher = s.streaming_matcher();
+        let one_shot = time_per_estimate(qs, |q| s.estimate(q));
+        let reused = {
+            let snapshot = s.snapshot();
+            let mut matcher = snapshot.matcher();
             time_per_estimate(qs, |q| matcher.estimate(q))
         };
         println!(
-            "{}: {} queries | regen {:.0} ns | streaming {:.0} ns ({:.1}x) | \
-             batched materialized {:.0} ns | \
-             batched streaming+memo {:.0} ns ({:.2}x vs materialized)",
+            "{}: {} queries | one-shot {:.0} ns | reused matcher {:.0} ns",
             scenario.name,
             qs.len(),
-            regen,
-            streaming,
-            regen / streaming,
-            batched_mat,
-            batched_memo,
-            batched_mat / batched_memo,
+            one_shot,
+            reused,
         );
-        results.push((
-            scenario.name.to_string(),
-            qs.len(),
-            regen,
-            streaming,
-            batched_mat,
-            batched_memo,
-        ));
+        results.push((scenario.name.to_string(), qs.len(), one_shot, reused));
     }
     if smoke() {
         println!("ESTIMATE_SMOKE set: skipping BENCH_estimate_throughput.json write");

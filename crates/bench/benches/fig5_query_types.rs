@@ -17,8 +17,7 @@ fn fig5_benches(c: &mut Criterion) {
 
     let prepared = PreparedDataset::prepare(Dataset::Dblp, BENCH_SCALE, &workload, 11);
     let (xseed, _) = build_xseed_with_het(&prepared, Some(fig5::BUDGET), 1);
-    let xseed = xseed.value;
-    let estimator = xseed.estimator();
+    let snapshot = xseed.value.snapshot();
 
     let mut group = c.benchmark_group("fig5_estimation_by_class");
     group.sample_size(20);
@@ -37,10 +36,11 @@ fn fig5_benches(c: &mut Criterion) {
             BenchmarkId::new("xseed_het", class.to_string()),
             &queries,
             |b, queries| {
+                let mut matcher = snapshot.matcher();
                 b.iter(|| {
                     let mut total = 0.0;
                     for q in queries {
-                        total += estimator.estimate(q);
+                        total += matcher.estimate(q);
                     }
                     black_box(total)
                 })

@@ -117,7 +117,8 @@ fn grade_scenario(scenario: &Scenario) -> Row {
     let storage = NokStorage::from_document(&doc);
     let eval = Evaluator::new(&storage);
 
-    let mut matcher = synopsis.streaming_matcher();
+    let snapshot = synopsis.snapshot();
+    let mut matcher = snapshot.matcher();
     let mut point = ModeGrades::default();
     let mut bound = ModeGrades::default();
     let mut queries = 0usize;

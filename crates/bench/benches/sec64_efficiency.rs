@@ -30,7 +30,7 @@ fn sec64_benches(c: &mut Criterion) {
     for &dataset in &[Dataset::XMark10, Dataset::TreebankSmall] {
         let prepared = PreparedDataset::prepare(dataset, BENCH_SCALE, &workload, 17);
         let (xseed, _) = build_xseed_with_het(&prepared, Some(50 * 1024), 1);
-        let xseed = xseed.value;
+        let snapshot = xseed.value.snapshot();
         let evaluator = prepared.evaluator();
         // A representative mixed bag of queries.
         let queries: Vec<_> = prepared
@@ -44,11 +44,11 @@ fn sec64_benches(c: &mut Criterion) {
             BenchmarkId::new("estimate", dataset.paper_name()),
             &queries,
             |b, queries| {
-                let estimator = xseed.estimator();
+                let mut matcher = snapshot.matcher();
                 b.iter(|| {
                     let mut total = 0.0;
                     for q in queries {
-                        total += estimator.estimate(q);
+                        total += matcher.estimate(q);
                     }
                     black_box(total)
                 })

@@ -24,7 +24,7 @@ fn accuracy_benches(c: &mut Criterion) {
     for &dataset in &[Dataset::XMark10, Dataset::TreebankSmall] {
         let prepared = PreparedDataset::prepare(dataset, BENCH_SCALE, &workload, 7);
         let (xseed, _) = build_xseed_with_het(&prepared, Some(25 * 1024), 1);
-        let xseed = xseed.value;
+        let snapshot = xseed.value.snapshot();
         let sketch = build_treesketch(&prepared, Some(25 * 1024)).value;
         let queries: Vec<_> = prepared
             .ground_truth
@@ -36,11 +36,11 @@ fn accuracy_benches(c: &mut Criterion) {
             BenchmarkId::new("xseed_25kb", dataset.paper_name()),
             &queries,
             |b, queries| {
-                let estimator = xseed.estimator();
+                let mut matcher = snapshot.matcher();
                 b.iter(|| {
                     let mut total = 0.0;
                     for q in queries {
-                        total += estimator.estimate(q);
+                        total += matcher.estimate(q);
                     }
                     black_box(total)
                 })

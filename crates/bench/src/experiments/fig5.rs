@@ -28,10 +28,11 @@ pub const BUDGET: usize = 50 * 1024;
 pub fn run(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Vec<Fig5Row> {
     let prepared = PreparedDataset::prepare(dataset, scale, spec, 11);
 
-    let kernel = build_xseed_kernel(&prepared).value;
-    let kernel_estimator = kernel.estimator();
+    let kernel = build_xseed_kernel(&prepared).value.snapshot();
+    let mut kernel_matcher = kernel.matcher();
     let (with_het, _) = build_xseed_with_het(&prepared, Some(BUDGET), 1);
-    let het_estimator = with_het.value.estimator();
+    let with_het = with_het.value.snapshot();
+    let mut het_matcher = with_het.matcher();
     let sketch = build_treesketch(&prepared, Some(BUDGET)).value;
 
     [
@@ -42,11 +43,10 @@ pub fn run(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Vec<Fig5Row> {
     .into_iter()
     .map(|class| {
         let kernel_metrics = ErrorMetrics::compute(
-            &prepared.observations(|q| kernel_estimator.estimate(q), Some(class)),
+            &prepared.observations(|q| kernel_matcher.estimate(q), Some(class)),
         );
-        let het_metrics = ErrorMetrics::compute(
-            &prepared.observations(|q| het_estimator.estimate(q), Some(class)),
-        );
+        let het_metrics =
+            ErrorMetrics::compute(&prepared.observations(|q| het_matcher.estimate(q), Some(class)));
         let ts_metrics =
             ErrorMetrics::compute(&prepared.observations(|q| sketch.estimate(q), Some(class)));
         Fig5Row {

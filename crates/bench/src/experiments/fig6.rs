@@ -30,9 +30,9 @@ pub fn run(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Vec<Fig6Row> {
     let mut rows = Vec::with_capacity(3);
 
     // MBP = 0: bare kernel.
-    let kernel = build_xseed_kernel(&prepared).value;
-    let estimator = kernel.estimator();
-    let metrics = ErrorMetrics::compute(&prepared.observations(|q| estimator.estimate(q), None));
+    let kernel = build_xseed_kernel(&prepared).value.snapshot();
+    let mut matcher = kernel.matcher();
+    let metrics = ErrorMetrics::compute(&prepared.observations(|q| matcher.estimate(q), None));
     rows.push(Fig6Row {
         mbp: 0,
         rmse: metrics.rmse,
@@ -42,9 +42,9 @@ pub fn run(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Vec<Fig6Row> {
 
     for mbp in [1usize, 2] {
         let (xseed, het_time) = build_xseed_with_het(&prepared, None, mbp);
-        let estimator = xseed.value.estimator();
-        let metrics =
-            ErrorMetrics::compute(&prepared.observations(|q| estimator.estimate(q), None));
+        let snapshot = xseed.value.snapshot();
+        let mut matcher = snapshot.matcher();
+        let metrics = ErrorMetrics::compute(&prepared.observations(|q| matcher.estimate(q), None));
         rows.push(Fig6Row {
             mbp,
             rmse: metrics.rmse,

@@ -44,22 +44,24 @@ pub fn run(datasets: &[Dataset], scale: f64, spec: &WorkloadSpec) -> Vec<Sec64Ro
 pub fn run_one(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Sec64Row {
     let prepared = PreparedDataset::prepare(dataset, scale, spec, 17);
     let (xseed, _) = build_xseed_with_het(&prepared, Some(50 * 1024), 1);
-    let synopsis = xseed.value;
+    let snapshot = xseed.value.snapshot();
     let evaluator = prepared.evaluator();
 
     // EPT size under the dataset's configuration (CARD_THRESHOLD = 20 for
-    // Treebank-class documents, per the paper).
-    let ept_nodes = synopsis.estimator().ept_len();
+    // Treebank-class documents, per the paper): the frontier memo records
+    // exactly the expanded path tree the traveler generates.
+    let ept_nodes = snapshot.frontier_memo().len();
 
     let queries: Vec<_> = prepared
         .ground_truth
         .iter()
         .map(|(q, _, _)| q.clone())
         .collect();
+    let mut matcher = snapshot.matcher();
     let estimation = timed(|| {
         let mut total = 0.0f64;
         for q in &queries {
-            total += synopsis.estimate(q);
+            total += matcher.estimate(q);
         }
         total
     });

@@ -52,18 +52,18 @@ pub fn run(scale: f64, spec: &WorkloadSpec) -> Vec<Table3Row> {
 pub fn run_one(dataset: Dataset, scale: f64, spec: &WorkloadSpec) -> Table3Row {
     let prepared = PreparedDataset::prepare(dataset, scale, spec, 7);
 
-    let kernel = build_xseed_kernel(&prepared).value;
-    let kernel_estimator = kernel.estimator();
+    let kernel = build_xseed_kernel(&prepared).value.snapshot();
+    let mut kernel_matcher = kernel.matcher();
     let kernel_metrics =
-        ErrorMetrics::compute(&prepared.observations(|q| kernel_estimator.estimate(q), None));
+        ErrorMetrics::compute(&prepared.observations(|q| kernel_matcher.estimate(q), None));
 
     let mut xseed_budgeted = Vec::with_capacity(BUDGETS.len());
     let mut treesketch_budgeted = Vec::with_capacity(BUDGETS.len());
     for &budget in &BUDGETS {
         let (xseed, _) = build_xseed_with_het(&prepared, Some(budget), 1);
-        let estimator = xseed.value.estimator();
-        let metrics =
-            ErrorMetrics::compute(&prepared.observations(|q| estimator.estimate(q), None));
+        let snapshot = xseed.value.snapshot();
+        let mut matcher = snapshot.matcher();
+        let metrics = ErrorMetrics::compute(&prepared.observations(|q| matcher.estimate(q), None));
         xseed_budgeted.push(metrics.into());
 
         let sketch = build_treesketch(&prepared, Some(budget)).value;

@@ -1,23 +1,28 @@
 //! Cardinality estimation over the XSEED kernel (Section 4).
 //!
+//! * [`streaming`] — the estimator: Algorithm 2 walked once per
+//!   [`crate::kernel::FrozenKernel`] snapshot into a [`FrontierMemo`],
+//!   and Algorithm 3 run by replaying that memo per query, with no EPT
+//!   arena and reachability-based subtree pruning. Callers reach it
+//!   through [`crate::synopsis::XseedSynopsis::estimate`] for one-off
+//!   estimates and [`crate::synopsis::SynopsisSnapshot::matcher`] for
+//!   everything else; bound mode ([`BoundedEstimate`]) lives here too.
+//!
+//! The rest of the module is the differential-testing oracle the
+//! streaming matcher is pinned against:
+//!
 //! * [`event`] — the open/close/end-of-stream events produced by the
 //!   traveler, carrying the estimated cardinality and the forward and
 //!   backward selectivities of the current synopsis path.
-//! * [`traveler`] — Algorithm 2: a depth-first traversal of the kernel
-//!   that lazily generates the *expanded path tree* (EPT) as an event
-//!   stream, bounded by the cardinality threshold.
+//! * [`traveler`] — Algorithm 2 as written: a depth-first traversal of
+//!   the kernel that lazily generates the *expanded path tree* (EPT) as
+//!   an event stream, bounded by the cardinality threshold.
 //! * [`ept`] — a materialized form of the EPT, built by draining the
-//!   traveler; the matcher and several diagnostics work on it.
-//! * [`matcher`] — Algorithm 3: matches a query tree against the EPT and
-//!   sums the estimated cardinalities of the result-node matches,
-//!   multiplying in aggregated backward selectivities for predicates.
-//! * [`streaming`] — the production path: Algorithm 2 walked once per
-//!   [`crate::kernel::FrozenKernel`] snapshot into a [`FrontierMemo`],
-//!   and Algorithm 3 run by replaying that memo per query, with no EPT
-//!   arena and reachability-based subtree pruning. This is what
-//!   [`crate::synopsis::XseedSynopsis::estimate`] uses; the traveler,
-//!   the materialized EPT, and its [`matcher`] remain the
-//!   differential-testing oracle.
+//!   traveler.
+//! * [`matcher`] — Algorithm 3 as written: matches a query tree against
+//!   the materialized EPT and sums the estimated cardinalities of the
+//!   result-node matches, multiplying in aggregated backward
+//!   selectivities for predicates.
 
 pub mod ept;
 pub mod event;

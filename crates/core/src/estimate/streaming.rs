@@ -833,13 +833,8 @@ impl<'a> StreamingMatcher<'a> {
     /// simple-path cardinalities are exact counts — and never inflate it.
     /// `bound >= estimate` holds by construction.
     pub fn estimate_bound(&mut self, expr: &PathExpr) -> BoundedEstimate {
-        let estimate = self.estimate(expr);
         let query = self.compile(expr);
-        let raw = self.compute_bound(&query) as f64;
-        BoundedEstimate {
-            estimate,
-            bound: raw.max(estimate),
-        }
+        self.bound_compiled(expr, &query)
     }
 
     /// [`StreamingMatcher::estimate_bound`] over a cached [`QueryPlan`],
@@ -854,16 +849,23 @@ impl<'a> StreamingMatcher<'a> {
         plan: &QueryPlan,
     ) -> (BoundedEstimate, Option<Duration>) {
         let (compiled, compile_time) = self.compiled_plan(plan);
-        let estimate = match self.answer_without_traversal(plan.expr()) {
+        (self.bound_compiled(plan.expr(), &compiled), compile_time)
+    }
+
+    /// Bound mode over an already-compiled `query` (the compiled form of
+    /// `expr`): the point half keeps the pre-traversal answers of
+    /// [`StreamingMatcher::estimate`], and the bound half reuses the same
+    /// compilation.
+    fn bound_compiled(&mut self, expr: &PathExpr, query: &CompiledQuery) -> BoundedEstimate {
+        let estimate = match self.answer_without_traversal(expr) {
             Some((answer, _)) => answer,
-            None => self.run_compiled(&compiled).0,
+            None => self.run_compiled(query).0,
         };
-        let raw = self.compute_bound(&compiled);
-        let bounded = BoundedEstimate {
+        let raw = self.compute_bound(query) as f64;
+        BoundedEstimate {
             estimate,
-            bound: (raw as f64).max(estimate),
-        };
-        (bounded, compile_time)
+            bound: raw.max(estimate),
+        }
     }
 
     /// Estimates the cardinality, also reporting the number of memo

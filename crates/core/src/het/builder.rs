@@ -8,8 +8,8 @@
 //! builder is driven by the streaming machinery instead:
 //!
 //! * the traveler's expansion is recorded **once** in a
-//!   [`FrontierMemo`] and replayed per candidate — the same trick the
-//!   batch executor uses — so no EPT arena is ever materialized;
+//!   [`FrontierMemo`] and replayed per candidate — the same trick every
+//!   estimate uses — so no EPT arena is ever materialized;
 //! * kernel estimates for *all* rooted simple paths come from a single
 //!   replay pass ([`FrontierMemo::simple_path_estimates`]), O(expansion)
 //!   instead of O(paths × expansion);

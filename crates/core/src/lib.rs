@@ -9,14 +9,18 @@
 //!   with incremental updates and a compact serialized form;
 //! * the **counter stacks** ([`counter_stacks`]) — the O(1) recursion-level
 //!   tracker of Figure 3;
-//! * the **estimator** ([`estimate`]) — the traveler (Algorithm 2) that
-//!   lazily expands the kernel into the expanded path tree, and the
-//!   matcher (Algorithm 3) that matches query trees against it;
+//! * the **estimator** ([`estimate`]) — the streaming matcher: the
+//!   traveler's expansion of the kernel (Algorithm 2) recorded once per
+//!   snapshot into a [`FrontierMemo`], and Algorithm 3 run by replaying
+//!   that memo per query. The materialized expanded path tree and its
+//!   matcher stay in [`estimate`] as the differential-testing oracle;
 //! * the **hyper-edge table** ([`het`]) — the budget-adaptive layer of
 //!   actual cardinalities and correlated backward selectivities that
 //!   repairs the kernel's independence assumptions (Section 5);
 //! * the **synopsis facade** ([`synopsis::XseedSynopsis`]) tying it all
-//!   together behind the API a cost-based optimizer would use.
+//!   together behind the API a cost-based optimizer would use: one-off
+//!   estimates through [`XseedSynopsis::estimate`], and everything else
+//!   through a [`SynopsisSnapshot::matcher`].
 //!
 //! ## Quick example
 //!
@@ -48,8 +52,8 @@ pub mod synopsis;
 pub use config::XseedConfig;
 pub use counter_stacks::CounterStacks;
 pub use estimate::{
-    BoundedEstimate, CompiledCacheStats, CompiledPlanCache, CompiledQuery, EstimateEvent,
-    ExpandedPathTree, FrontierMemo, Matcher, StreamingMatcher, Traveler,
+    BoundedEstimate, CompiledCacheStats, CompiledPlanCache, CompiledQuery, FrontierMemo,
+    StreamingMatcher,
 };
 pub use het::{
     BselThresholdStrategy, CandidateContext, CandidateStrategy, FeedbackOutcome, HetBuildStats,
@@ -58,6 +62,4 @@ pub use het::{
 pub use kernel::{EdgeLabel, FrozenKernel, Kernel, KernelBuilder, PartialKernel};
 pub use partition::{build_kernel_partitioned, merge_partials, PartitionPlan};
 pub use persist::{decode_snapshot, encode_snapshot, PersistError, SnapshotParts};
-pub use synopsis::{
-    EstimateReport, FeedbackReport, SynopsisEstimator, SynopsisSnapshot, XseedSynopsis,
-};
+pub use synopsis::{FeedbackReport, SynopsisSnapshot, XseedSynopsis};

@@ -5,8 +5,6 @@
 //! table, give it a memory budget, and ask it for cardinality estimates.
 
 use crate::config::XseedConfig;
-use crate::estimate::ept::ExpandedPathTree;
-use crate::estimate::matcher::Matcher;
 use crate::estimate::streaming::{
     BoundedEstimate, CompiledCacheStats, CompiledPlanCache, FrontierMemo, StreamingMatcher,
 };
@@ -20,17 +18,6 @@ use std::sync::{Arc, OnceLock};
 use xmlkit::names::NameTable;
 use xmlkit::tree::Document;
 use xpathkit::ast::PathExpr;
-
-/// Result of an estimation call, with diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstimateReport {
-    /// The estimated cardinality.
-    pub cardinality: f64,
-    /// Number of expanded-path-tree nodes the streaming traversal visited
-    /// for this estimate — at most (and, without reachability pruning,
-    /// exactly) the size of the materialized EPT.
-    pub ept_nodes: usize,
-}
 
 /// Result of one feedback submission
 /// ([`XseedSynopsis::record_feedback_report`]): what was recorded plus the
@@ -330,65 +317,13 @@ impl XseedSynopsis {
         &mut self.config
     }
 
-    /// Estimates the cardinality of a path expression.
-    ///
-    /// Runs the streaming matcher over the frozen kernel snapshot: no EPT
-    /// arena is materialized, and the snapshot and its frontier memo are
-    /// shared by every estimate until the next mutation.
+    /// Estimates the cardinality of a path expression — the one-off
+    /// form of [`SynopsisSnapshot::estimate`] on the current
+    /// [`XseedSynopsis::snapshot`]. The snapshot and its frontier memo are
+    /// shared by every estimate until the next mutation; callers with
+    /// many queries should hold one [`SynopsisSnapshot::matcher`].
     pub fn estimate(&self, expr: &PathExpr) -> f64 {
-        self.streaming_matcher().estimate(expr)
-    }
-
-    /// Estimates the cardinality of a path expression, also reporting the
-    /// number of EPT nodes visited (the quantity Section 6.4 tracks).
-    pub fn estimate_with_stats(&self, expr: &PathExpr) -> EstimateReport {
-        let (cardinality, ept_nodes) = self.streaming_matcher().estimate_with_stats(expr);
-        EstimateReport {
-            cardinality,
-            ept_nodes,
-        }
-    }
-
-    /// Estimates a path expression in bound mode: the point estimate
-    /// paired with a guaranteed upper bound on the true cardinality (see
-    /// [`StreamingMatcher::estimate_bound`]).
-    pub fn estimate_bound(&self, expr: &PathExpr) -> BoundedEstimate {
-        self.streaming_matcher().estimate_bound(expr)
-    }
-
-    /// Estimates a whole batch of queries with one matcher, returning the
-    /// estimates in input order. Like every estimate, each query replays
-    /// the published snapshot's frontier memo, so repeated batches between
-    /// updates pay the expansion exactly once.
-    pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
-        self.snapshot().estimate_batch(exprs)
-    }
-
-    /// Creates a streaming matcher over the frozen snapshot, replaying the
-    /// published snapshot's frontier memo (built once per epoch). Reusing
-    /// one matcher across many queries keeps its scratch buffers warm;
-    /// each [`XseedSynopsis::estimate`] call otherwise creates a fresh one.
-    pub fn streaming_matcher(&self) -> StreamingMatcher<'_> {
-        let mut matcher = StreamingMatcher::new(
-            self.frozen_kernel(),
-            self.kernel.names(),
-            &self.config,
-            self.het.as_deref(),
-        );
-        matcher.set_frontier_memo(self.snapshot().frontier_memo().clone());
-        matcher
-    }
-
-    /// Creates a reusable estimator that materializes the EPT once — the
-    /// API-compatible arena path, kept as the differential-testing oracle
-    /// for the streaming matcher and for callers that want to inspect the
-    /// EPT itself.
-    pub fn estimator(&self) -> SynopsisEstimator<'_> {
-        let ept = ExpandedPathTree::generate(&self.kernel, &self.config, self.het.as_deref());
-        SynopsisEstimator {
-            synopsis: self,
-            ept,
-        }
+        self.snapshot().estimate(expr)
     }
 
     /// Feeds back the actual cardinality of an executed query (Figure 1's
@@ -662,8 +597,8 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// Estimates one query (one-shot matcher; for many queries prefer
-    /// [`SynopsisSnapshot::matcher`] or [`SynopsisSnapshot::estimate_batch`]).
+    /// Estimates one query (one-shot matcher; for many queries hold a
+    /// [`SynopsisSnapshot::matcher`]).
     pub fn estimate(&self, expr: &PathExpr) -> f64 {
         self.matcher().estimate(expr)
     }
@@ -676,53 +611,11 @@ impl SynopsisSnapshot {
         self.matcher().estimate_plan(plan)
     }
 
-    /// Estimates one query in bound mode (point estimate + guaranteed
-    /// upper bound; see [`StreamingMatcher::estimate_bound`]). One-shot
-    /// matcher; for many queries hold a [`SynopsisSnapshot::matcher`].
-    pub fn estimate_bound(&self, expr: &PathExpr) -> BoundedEstimate {
-        self.matcher().estimate_bound(expr)
-    }
-
-    /// Estimates one cached plan in bound mode through the snapshot's
-    /// compiled-query cache (see
-    /// [`StreamingMatcher::estimate_plan_bound_timed`]).
+    /// Estimates one cached plan in bound mode (point estimate +
+    /// guaranteed upper bound) through the snapshot's compiled-query
+    /// cache (see [`StreamingMatcher::estimate_plan_bound_timed`]).
     pub fn estimate_plan_bound(&self, plan: &xpathkit::QueryPlan) -> BoundedEstimate {
         self.matcher().estimate_plan_bound_timed(plan).0
-    }
-
-    /// Estimates a batch of queries with one matcher over the shared
-    /// frontier memo, returning estimates in input order.
-    pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
-        let mut matcher = self.matcher();
-        exprs.iter().map(|q| matcher.estimate(q)).collect()
-    }
-}
-
-/// A reusable estimator holding a materialized EPT.
-pub struct SynopsisEstimator<'a> {
-    synopsis: &'a XseedSynopsis,
-    ept: ExpandedPathTree,
-}
-
-impl<'a> SynopsisEstimator<'a> {
-    /// Estimates the cardinality of a path expression.
-    pub fn estimate(&self, expr: &PathExpr) -> f64 {
-        Matcher::new(
-            &self.synopsis.kernel,
-            &self.ept,
-            self.synopsis.het.as_deref(),
-        )
-        .estimate(expr)
-    }
-
-    /// Number of nodes in the materialized EPT.
-    pub fn ept_len(&self) -> usize {
-        self.ept.len()
-    }
-
-    /// The materialized expanded path tree.
-    pub fn ept(&self) -> &ExpandedPathTree {
-        &self.ept
     }
 }
 
@@ -745,24 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn estimate_bound_dominates_truth_through_synopsis_and_snapshot() {
+    fn plan_bound_dominates_truth_and_matches_the_expression_path() {
         let doc = figure2_document();
         let storage = NokStorage::from_document(&doc);
         let eval = Evaluator::new(&storage);
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
         let snap = synopsis.snapshot();
+        let mut matcher = snap.matcher();
         for q in ["/a/c/s", "//p", "/a/c/s[t]/p", "//s//s//p", "/a/*"] {
             let expr = parse(q).unwrap();
             let actual = eval.count(&expr) as f64;
-            let be = synopsis.estimate_bound(&expr);
+            let be = matcher.estimate_bound(&expr);
             assert!(be.bound >= actual, "{q}: bound {} < {actual}", be.bound);
             assert!(be.bound >= be.estimate, "{q}");
-            assert_eq!(snap.estimate_bound(&expr), be);
+            assert_eq!(be.estimate.to_bits(), synopsis.estimate(&expr).to_bits());
             let plan = xpathkit::QueryPlan::parse(q).unwrap();
-            assert_eq!(
-                snap.estimate_plan_bound(&plan).bound.to_bits(),
-                be.bound.to_bits()
-            );
+            assert_eq!(snap.estimate_plan_bound(&plan), be);
         }
     }
 
@@ -925,31 +816,20 @@ mod tests {
     }
 
     #[test]
-    fn estimator_reuse_matches_one_shot() {
+    fn matcher_reports_visited_nodes_within_the_memo() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
-        let estimator = synopsis.estimator();
-        for q in ["/a/c/s", "//s//p", "/a/c/s[t]/p", "/a/*"] {
-            let expr = parse(q).unwrap();
-            assert!((estimator.estimate(&expr) - synopsis.estimate(&expr)).abs() < 1e-9);
-        }
-        assert_eq!(estimator.ept_len(), 14);
-        assert_eq!(estimator.ept().len(), 14);
-    }
-
-    #[test]
-    fn estimate_with_stats_reports_visited_nodes() {
-        let doc = figure2_document();
-        let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
-        // //p prunes the t/u subtrees (no p below them), so the streaming
-        // traversal visits fewer nodes than the 14-node materialized EPT.
-        let report = synopsis.estimate_with_stats(&parse("//p").unwrap());
-        assert!(report.ept_nodes > 0 && report.ept_nodes < 14);
-        assert!((report.cardinality - 17.0).abs() < 1e-6);
-        // A wildcard query visits the full EPT.
-        let report = synopsis.estimate_with_stats(&parse("//*").unwrap());
-        assert_eq!(report.ept_nodes, 14);
-        assert_eq!(synopsis.estimator().ept_len(), 14);
+        let snap = synopsis.snapshot();
+        assert_eq!(snap.frontier_memo().len(), 14);
+        let mut matcher = snap.matcher();
+        // //p prunes the t/u subtrees (no p below them), so the replay
+        // visits fewer nodes than the 14-node expansion.
+        let (cardinality, visited) = matcher.estimate_with_stats(&parse("//p").unwrap());
+        assert!(visited > 0 && visited < 14);
+        assert!((cardinality - 17.0).abs() < 1e-6);
+        // A wildcard query visits the whole expansion.
+        let (_, visited) = matcher.estimate_with_stats(&parse("//*").unwrap());
+        assert_eq!(visited, 14);
     }
 
     #[test]
@@ -988,8 +868,7 @@ mod tests {
         let doc = figure2_document();
         let config = XseedConfig::default().with_card_threshold(2.0);
         let synopsis = XseedSynopsis::build(&doc, config);
-        let report = synopsis.estimate_with_stats(&parse("//p").unwrap());
-        assert!(report.ept_nodes < 14);
+        assert!(synopsis.snapshot().frontier_memo().len() < 14);
     }
 
     #[test]
@@ -1067,7 +946,7 @@ mod tests {
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
         let snap = synopsis.snapshot();
         let plan = xpathkit::QueryPlan::parse("//s//p").unwrap();
-        let expected = snap.estimate_bound(plan.expr());
+        let expected = snap.matcher().estimate_bound(plan.expr());
         for _ in 0..2 {
             let got = snap.estimate_plan_bound(&plan);
             assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits());
@@ -1083,7 +962,7 @@ mod tests {
         let (with_het, _) = XseedSynopsis::build_with_het(&figure4_document(), Default::default());
         let snap = with_het.snapshot();
         let plan = xpathkit::QueryPlan::parse("/a/b/d/e").unwrap();
-        let expected = snap.estimate_bound(plan.expr());
+        let expected = snap.matcher().estimate_bound(plan.expr());
         let got = snap.estimate_plan_bound(&plan);
         assert_eq!(got.estimate, 20.0);
         assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits());
@@ -1091,22 +970,22 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_estimate_batch_matches_estimate() {
+    fn one_matcher_matches_one_shot_estimates_and_shares_the_memo() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
-        let queries: Vec<_> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "/a/*", "//*"]
-            .iter()
-            .map(|q| parse(q).unwrap())
-            .collect();
-        let batch = synopsis.estimate_batch(&queries);
-        for (expr, got) in queries.iter().zip(&batch) {
-            assert!((synopsis.estimate(expr) - got).abs() < 1e-9);
-        }
-        // The snapshot's frontier memo is cached across batch calls.
         let snap = synopsis.snapshot();
         let memo = snap.frontier_memo().clone();
-        let _ = snap.estimate_batch(&queries);
-        assert!(Arc::ptr_eq(&memo, snap.frontier_memo()));
+        let mut matcher = snap.matcher();
+        for q in ["/a/c/s", "//s//p", "/a/c/s[t]/p", "/a/*", "//*"] {
+            let expr = parse(q).unwrap();
+            assert_eq!(
+                matcher.estimate(&expr).to_bits(),
+                synopsis.estimate(&expr).to_bits(),
+                "{q}"
+            );
+        }
+        // Every matcher and one-off estimate replays the same memo.
+        assert!(Arc::ptr_eq(&memo, synopsis.snapshot().frontier_memo()));
     }
 
     #[test]

@@ -41,12 +41,12 @@
 //! document needed) with the entry's configured
 //! [`xseed_core::CandidateStrategy`] and resets the drift accounting.
 
-use crate::batch::FeedbackItem;
 use crate::metrics::{q_error_milli, HistogramSnapshot};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use xmlkit::tree::Document;
 use xpathkit::ast::PathExpr;
+use xpathkit::QueryPlan;
 use xseed_core::{
     BselThresholdStrategy, CandidateContext, CandidateStrategy, FeedbackOutcome, FeedbackReport,
     SynopsisSnapshot, XseedSynopsis,
@@ -271,6 +271,23 @@ pub struct CatalogFeedback {
     /// once per crossing: further feedback keeps accumulating but will
     /// not re-report until [`Catalog::rebuild_het_retained`] completes.
     pub rebuild_due: bool,
+}
+
+/// One observed cardinality in a feedback batch
+/// ([`Catalog::record_feedback_batch`], [`crate::Service::feedback_batch`]):
+/// the executed query (a cached plan, so repeated feedback skips the
+/// parser) plus what the execution engine actually saw. `base` is the
+/// cardinality of the same path without predicates, when known — it lets
+/// branching feedback derive an exact correlated selectivity (see
+/// [`xseed_core::het::feedback::record_feedback`]).
+#[derive(Debug, Clone)]
+pub struct FeedbackItem {
+    /// The executed query.
+    pub query: Arc<QueryPlan>,
+    /// The observed cardinality.
+    pub actual: u64,
+    /// Cardinality of the predicate-free base path, if known.
+    pub base: Option<u64>,
 }
 
 /// Result of one feedback batch ([`Catalog::record_feedback_batch`]).
@@ -1161,13 +1178,13 @@ mod tests {
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let epoch_before = catalog.snapshot("fig4").unwrap().epoch();
-        let items: Vec<crate::batch::FeedbackItem> = [
+        let items: Vec<FeedbackItem> = [
             ("/a/b/d/e", 20u64, None),
             ("/a/c/d/f", 10, None),
             ("//e//f", 1, None), // unsupported, ignored
         ]
         .iter()
-        .map(|(q, actual, base)| crate::batch::FeedbackItem {
+        .map(|(q, actual, base)| FeedbackItem {
             query: Arc::new(xpathkit::QueryPlan::parse(q).unwrap()),
             actual: *actual,
             base: *base,

@@ -19,12 +19,11 @@
 //! * [`plan_cache`] — a sharded LRU [`PlanCache`] from query text to
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
 //!   skip the parser across all calling threads without a global lock.
-//! * [`batch`] — the batch executor: one matcher per batch, replaying the
-//!   snapshot's shared frontier memo (the traveler's expansion recorded
-//!   once per epoch) like every estimate.
 //! * [`service`] — the [`Service`] front end: estimates, single or
-//!   batched, run on the calling thread over catalog snapshots, under
-//!   one **bounded** admission budget that sheds excess load with
+//!   batched, run on the calling thread over catalog snapshots, one
+//!   matcher per request replaying the snapshot's shared frontier memo
+//!   (the traveler's expansion recorded once per epoch), under one
+//!   **bounded** admission budget that sheds excess load with
 //!   [`ServiceError::Overloaded`]; a maintenance thread rebuilds HETs
 //!   that feedback has marked due.
 //! * [`protocol`] — the line protocol (`LOAD` / `EST` / `BATCH` / `STATS`)
@@ -113,7 +112,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod catalog;
 pub mod limiter;
 pub mod metrics;
@@ -124,10 +122,9 @@ pub mod server;
 pub mod service;
 pub mod trace;
 
-pub use batch::{execute_batch_observed, FeedbackItem};
 pub use catalog::{
-    Catalog, CatalogFeedback, CatalogFeedbackBatch, DocumentInfo, MaintenancePolicy, RebuildError,
-    SnapshotError,
+    Catalog, CatalogFeedback, CatalogFeedbackBatch, DocumentInfo, FeedbackItem, MaintenancePolicy,
+    RebuildError, SnapshotError,
 };
 pub use limiter::{RateLimiter, TokenBucket};
 pub use metrics::{format_milli_q, q_error_milli, Histogram, HistogramSnapshot, Obs, Stage};

@@ -72,7 +72,7 @@ use crate::trace::TraceKind;
 use netpoll::{Interest, Poller};
 use std::collections::HashMap;
 use std::io::{BufRead, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -223,6 +223,30 @@ struct Conn {
     draining: Option<Instant>,
     /// Interest currently registered with the poller.
     interest: Interest,
+}
+
+/// Refuses a connection past the limit loudly: one structured line, then
+/// a clean close. The socket is still blocking here, but a one-line write
+/// to a fresh socket's empty send buffer cannot stall. Closing a socket
+/// whose input is unread makes the kernel answer with a reset, and a
+/// client that sent its request first could then read `ECONNRESET`
+/// instead of EOF. So the write half is shut down after the line, and the
+/// request bytes that have already arrived are read and dropped (without
+/// blocking, at most one request line's worth) before the socket closes.
+fn refuse(mut stream: TcpStream, open: usize, max: usize) {
+    let _ = writeln!(stream, "OVERLOADED connections={open} max={max}");
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    let mut drained = 0;
+    while drained < MAX_LINE_BYTES {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 /// The instant `conn` must be dealt with without client I/O: its drain
@@ -403,16 +427,7 @@ impl EventLoop {
                 }
             };
             if self.conns.len() >= self.max_connections {
-                // Refuse loudly: one structured line, then close. The
-                // socket is still blocking here, but a one-line write to
-                // a fresh socket's empty send buffer cannot stall.
-                let mut stream = stream;
-                let _ = writeln!(
-                    stream,
-                    "OVERLOADED connections={} max={}",
-                    self.conns.len(),
-                    self.max_connections
-                );
+                refuse(stream, self.conns.len(), self.max_connections);
                 if !self.refusing {
                     self.refusing = true;
                     if let Some(obs) = self.service.obs() {

@@ -9,10 +9,13 @@
 //! clone) and plan (sharded LRU lookup) and runs right where it was
 //! called. The only thread the service owns is the maintenance thread.
 //!
-//! Every estimate, batched or single, replays the snapshot's frontier
-//! memo, which the first estimate after an epoch bump builds and every
-//! thread then shares; a batch runs through one matcher (see
-//! [`crate::batch`]).
+//! All three run through one private executor: one
+//! [`xseed_core::StreamingMatcher`] from [`SynopsisSnapshot::matcher`]
+//! per request, so a batch keeps the matcher's scratch buffers warm, and
+//! each plan goes through the snapshot's compiled-query cache, so a
+//! plan-cache hit pays neither the parse nor the compile. Every estimate
+//! replays the snapshot's frontier memo, which the first estimate after
+//! an epoch bump builds and every thread then shares.
 //!
 //! ## Backpressure and admission control
 //!
@@ -45,8 +48,7 @@
 //! are counted (`feedback_applied` / `feedback_ignored` /
 //! `rebuilds_triggered` in [`ServiceStats`]).
 
-use crate::batch::{execute_batch_observed, FeedbackItem};
-use crate::catalog::{Catalog, CatalogFeedbackBatch, RebuildError, SnapshotError};
+use crate::catalog::{Catalog, CatalogFeedbackBatch, FeedbackItem, RebuildError, SnapshotError};
 use crate::metrics::{Obs, Stage};
 use crate::persist::WarmStart;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
@@ -58,8 +60,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xpathkit::{ParseError, QueryPlan};
-use xseed_core::SynopsisSnapshot;
-use xseed_core::{BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats};
+use xseed_core::{
+    BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats, StreamingMatcher,
+    SynopsisSnapshot,
+};
 
 /// Interval at which an idle or paused maintenance thread re-checks the
 /// shutdown flag. Pushes notify the thread, so this only bounds how long
@@ -678,65 +682,78 @@ impl Service {
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
-        self.run_inline(&snapshot, &[plan], |snapshot, plans| {
-            execute_batch_observed(snapshot, plans, &self.obs)[0]
-        })
+        let estimates = self.execute(&snapshot, &[plan], StreamingMatcher::estimate_plan_timed)?;
+        Ok(estimates[0])
     }
 
     /// Estimates one query in **bound mode**: the point estimate paired
     /// with a guaranteed upper bound on the true cardinality (see
-    /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs on the
-    /// calling thread through the snapshot's compiled-query cache, with
-    /// the same admission control and counters as [`Service::estimate`].
-    /// A compiled-cache miss is timed into [`Stage::Compile`] and left out
-    /// of [`Stage::Estimate`], as for point estimates.
+    /// [`xseed_core::StreamingMatcher::estimate_bound`]), with the same
+    /// admission control and counters as [`Service::estimate`].
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
-        self.run_inline(&snapshot, &[plan], |snapshot, plans| {
-            let mut matcher = snapshot.matcher();
-            let started = Instant::now();
-            let (bounded, compiled) = matcher.estimate_plan_bound_timed(&plans[0]);
-            if let Some(obs) = &self.obs {
-                let compile_time = compiled.unwrap_or_default();
-                if compiled.is_some() {
-                    obs.record(Stage::Compile, compile_time);
-                }
-                obs.record(
-                    Stage::Estimate,
-                    started.elapsed().saturating_sub(compile_time),
-                );
-            }
-            bounded
-        })
+        let bounded = self.execute(
+            &snapshot,
+            &[plan],
+            StreamingMatcher::estimate_plan_bound_timed,
+        )?;
+        Ok(bounded[0])
     }
 
-    /// Runs `plans` as one job on the calling thread: reserves their
-    /// cost, runs `estimate`, then counts the queries in `executed`, one
-    /// job in `batches`, and for more than one query one
-    /// [`Stage::BatchChunk`] sample, and releases the reservation.
-    fn run_inline<T>(
+    /// Runs `plans` against `snapshot` as one job on the calling thread,
+    /// through one matcher, with `estimate` answering each plan: reserves
+    /// their cost, counts the queries in `executed` and one job in
+    /// `batches`, and releases the reservation.
+    ///
+    /// With observability on, each compiled-cache miss is timed into
+    /// [`Stage::Compile`] (`estimate` reports it, timed inside the
+    /// cache's miss closure so the cache counters see one lookup per
+    /// estimate). One `Instant` pair around the whole job records
+    /// `plans.len()` [`Stage::Estimate`] samples of the per-query mean
+    /// with the compile time subtracted, so the two stages partition the
+    /// work and the per-query hot path reads no clock
+    /// ([`Obs::record_amortized`]); a job of more than one query also
+    /// records one [`Stage::BatchChunk`] sample. With observability off
+    /// no clock is read outside compilation.
+    fn execute<'s, T>(
         &self,
-        snapshot: &SynopsisSnapshot,
+        snapshot: &'s SynopsisSnapshot,
         plans: &[Arc<QueryPlan>],
-        estimate: impl FnOnce(&SynopsisSnapshot, &[Arc<QueryPlan>]) -> T,
-    ) -> Result<T, ServiceError> {
+        estimate: impl Fn(&mut StreamingMatcher<'s>, &QueryPlan) -> (T, Option<Duration>),
+    ) -> Result<Vec<T>, ServiceError> {
         let n = plans.len();
         let _reservation = self.reserve(n)?;
-        let chunk_timer = self
-            .obs
-            .as_ref()
-            .filter(|_| n > 1)
-            .map(|obs| (obs, Instant::now()));
-        let result = estimate(snapshot, plans);
-        if let Some((obs, started)) = chunk_timer {
-            obs.record(Stage::BatchChunk, started.elapsed());
+        let mut matcher = snapshot.matcher();
+        let timer = self.obs.as_ref().map(|obs| (obs, Instant::now()));
+        let mut compile_total = Duration::ZERO;
+        let results = plans
+            .iter()
+            .map(|plan| {
+                let (result, compile_time) = estimate(&mut matcher, plan);
+                if let (Some((obs, _)), Some(compile_time)) = (timer, compile_time) {
+                    obs.record(Stage::Compile, compile_time);
+                    compile_total += compile_time;
+                }
+                result
+            })
+            .collect();
+        if let Some((obs, started)) = timer {
+            let elapsed = started.elapsed();
+            obs.record_amortized(
+                Stage::Estimate,
+                elapsed.saturating_sub(compile_total),
+                n as u64,
+            );
+            if n > 1 {
+                obs.record(Stage::BatchChunk, elapsed);
+            }
         }
         self.admission
             .executed
             .fetch_add(n as u64, Ordering::Relaxed);
         self.admission.batches.fetch_add(1, Ordering::Relaxed);
-        Ok(result)
+        Ok(results)
     }
 
     /// Folds one applied feedback observation into the global q-error
@@ -886,9 +903,7 @@ impl Service {
         if plans.is_empty() {
             return Ok(Vec::new());
         }
-        self.run_inline(&snapshot, &plans, |snapshot, plans| {
-            execute_batch_observed(snapshot, plans, &self.obs)
-        })
+        self.execute(&snapshot, &plans, StreamingMatcher::estimate_plan_timed)
     }
 
     /// Current service counters.

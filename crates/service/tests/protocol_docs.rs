@@ -31,12 +31,14 @@ fn extract_verbs(source: &str) -> BTreeSet<String> {
     verbs
 }
 
-/// Every `key` the implementation interpolates as `key={}` **or**
-/// `key={named_capture}` — the flat STATS counters, the per-document
-/// segment fields, and the structured reply fields (`outcome=`,
-/// `estimated=`, `epoch={epoch}`, …). Both interpolation styles must be
-/// covered or a reply key written with an inline capture would escape
-/// the guard.
+/// Every `key` the implementation writes on the wire: interpolated as
+/// `key={}` **or** `key={named_capture}` — the flat STATS counters, the
+/// per-document segment fields, and the structured reply fields
+/// (`outcome=`, `estimated=`, `epoch={epoch}`, …) — or written with a
+/// literal value, `key=<literal>` (`steals=0`, `rebuild=done`), in the
+/// non-test code. Every style must be covered or a key written in the
+/// uncovered one would escape the guard. Comment lines are skipped for
+/// literal values, since prose such as "`key=value` pairs" names no key.
 fn extract_wire_keys(source: &str) -> BTreeSet<String> {
     let mut keys = BTreeSet::new();
     for (idx, _) in source.match_indices("={") {
@@ -47,23 +49,35 @@ fn extract_wire_keys(source: &str) -> BTreeSet<String> {
             continue;
         };
         let capture = &inner[..close];
-        if !capture.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+        if capture.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+            keys.extend(key_before(source, idx));
+        }
+    }
+    let code = source.split("#[cfg(test)]").next().unwrap_or(source);
+    for line in code.lines() {
+        if line.trim_start().starts_with("//") {
             continue;
         }
-        let prefix = &source[..idx];
-        let key: String = prefix
-            .chars()
-            .rev()
-            .take_while(|c| c.is_ascii_lowercase() || *c == '_')
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-            .collect();
-        if !key.is_empty() {
-            keys.insert(key);
+        for (idx, _) in line.match_indices('=') {
+            if line[idx + 1..].starts_with(|c: char| c.is_ascii_alphanumeric()) {
+                keys.extend(key_before(line, idx));
+            }
         }
     }
     keys
+}
+
+/// The `[a-z_]+` run ending right before byte `idx` of `text`, if any.
+fn key_before(text: &str, idx: usize) -> Option<String> {
+    let key: String = text[..idx]
+        .chars()
+        .rev()
+        .take_while(|c| c.is_ascii_lowercase() || *c == '_')
+        .collect::<Vec<_>>()
+        .into_iter()
+        .rev()
+        .collect();
+    (!key.is_empty()).then_some(key)
 }
 
 #[test]
@@ -123,6 +137,8 @@ fn every_wire_key_is_documented() {
         "epoch",
         "queued",
         "capacity",
+        // So must keys written with a literal value.
+        "steals",
     ] {
         assert!(
             keys.contains(expected),

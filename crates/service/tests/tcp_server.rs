@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use xseed_service::{Catalog, ServerConfig, Service, ServiceConfig, TcpServer};
+use xseed_service::{Catalog, MaintenancePolicy, ServerConfig, Service, ServiceConfig, TcpServer};
 
 /// Starts a server on an ephemeral port and leaks its accept thread (it
 /// blocks in `accept` for the life of the test process).
@@ -151,6 +151,56 @@ fn connections_past_the_limit_are_refused_and_slots_are_released() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn a_refused_client_that_sent_first_reads_the_line_then_a_clean_eof() {
+    // fig4 is retained under a tight maintenance bound, so one FEEDBACK
+    // queues a HET rebuild that its session waits for.
+    let catalog = Arc::new(Catalog::new());
+    let doc = Arc::new(xmlkit::samples::figure4_document());
+    catalog.insert_retained(
+        "fig4",
+        xseed_core::XseedSynopsis::build(&doc, xseed_core::XseedConfig::default()),
+        doc,
+        MaintenancePolicy::ErrorMassBound(1.0),
+    );
+    let service = Arc::new(Service::new(catalog, ServiceConfig::with_workers(2)));
+    let config = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let server = TcpServer::bind("127.0.0.1:0", config).expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap();
+    let loop_service = service.clone();
+    std::thread::spawn(move || {
+        let _ = server.run(loop_service);
+    });
+
+    // Hold the event loop: with maintenance paused, the first session's
+    // FEEDBACK waits for its rebuild, so the loop accepts nobody until
+    // the pause is released.
+    let pause = service.pause_maintenance();
+    pause.wait_until_paused();
+    let mut first = Client::connect(addr);
+    first.send("FEEDBACK fig4 20 /a/b/d/e");
+    while service.stats().feedback_applied == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // So the refused client's request has arrived before the loop accepts
+    // and closes it. Closing with it unread would reset the connection,
+    // and the client would read `ECONNRESET` after the line instead of EOF.
+    let mut second = Client::connect(addr);
+    second.send("EST fig4 /a/b/d/e");
+    std::thread::sleep(Duration::from_millis(50));
+    pause.resume();
+    assert!(first.recv().starts_with("OK "));
+    assert_eq!(
+        second.recv_eof().as_deref(),
+        Some("OVERLOADED connections=1 max=1")
+    );
+    assert_eq!(second.recv_eof(), None);
 }
 
 #[test]

@@ -53,13 +53,14 @@ fn main() {
         sketch.merges()
     );
 
-    let estimator = synopsis.estimator();
+    let snapshot = synopsis.snapshot();
+    let mut matcher = snapshot.matcher();
     let mut xseed_obs = Vec::new();
     let mut sketch_obs = Vec::new();
     for query in workload.all() {
         let actual = evaluator.count(query) as f64;
         xseed_obs.push(Observation {
-            estimated: estimator.estimate(query),
+            estimated: matcher.estimate(query),
             actual,
         });
         sketch_obs.push(Observation {

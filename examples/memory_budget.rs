@@ -49,11 +49,12 @@ fn main() {
     ];
     for budget in budgets {
         synopsis.set_memory_budget(budget);
-        let estimator = synopsis.estimator();
+        let snapshot = synopsis.snapshot();
+        let mut matcher = snapshot.matcher();
         let observations: Vec<Observation> = actuals
             .iter()
             .map(|(q, actual)| Observation {
-                estimated: estimator.estimate(q),
+                estimated: matcher.estimate(q),
                 actual: *actual,
             })
             .collect();

@@ -29,15 +29,18 @@ fn main() {
         synopsis.kernel_size_bytes(),
         sketch.size_bytes()
     );
-    let ept_len = synopsis.estimator().ept_len();
-    let report = synopsis.estimate_with_stats(&parse_query("//S").unwrap());
+    let snapshot = synopsis.snapshot();
+    let ept_nodes = snapshot.frontier_memo().len();
+    let (_, visited) = snapshot
+        .matcher()
+        .estimate_with_stats(&parse_query("//S").unwrap());
     println!(
         "Expanded path tree: {} nodes for a {}-element document ({:.2}%); \
          //S visits {} of them\n",
-        ept_len,
+        ept_nodes,
         doc.element_count(),
-        100.0 * ept_len as f64 / doc.element_count() as f64,
-        report.ept_nodes
+        100.0 * ept_nodes as f64 / doc.element_count() as f64,
+        visited
     );
 
     let storage = NokStorage::from_document(&doc);

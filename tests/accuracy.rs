@@ -124,7 +124,8 @@ fn measure(scenario: &Scenario) -> Measured {
 
     let storage = NokStorage::from_document(&doc);
     let eval = Evaluator::new(&storage);
-    let mut matcher = synopsis.streaming_matcher();
+    let snapshot = synopsis.snapshot();
+    let mut matcher = snapshot.matcher();
     let rows: Vec<(String, f64, f64, u64)> = workload
         .all()
         .map(|q| {

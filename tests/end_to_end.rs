@@ -33,9 +33,10 @@ fn xmark_pipeline_produces_reasonable_errors() {
 
     let (synopsis, _) =
         XseedSynopsis::build_with_het(&doc, XseedConfig::default().with_memory_budget(50 * 1024));
-    let estimator = synopsis.estimator();
+    let snapshot = synopsis.snapshot();
+    let mut matcher = snapshot.matcher();
     let metrics = ErrorMetrics::compute(&observations(&workload, &evaluator, |q| {
-        estimator.estimate(q)
+        matcher.estimate(q)
     }));
     // Simple paths are exact via the HET, so the normalized error over the
     // whole workload must stay moderate.

@@ -73,8 +73,9 @@ fn assert_partitioned_build_matches(doc: &Document, config: &XseedConfig, label:
             "{label}: HET entries diverge at partitions={partitions}"
         );
 
-        let mut mono_matcher = mono.streaming_matcher();
-        let mut part_matcher = part.streaming_matcher();
+        let (mono_snapshot, part_snapshot) = (mono.snapshot(), part.snapshot());
+        let mut mono_matcher = mono_snapshot.matcher();
+        let mut part_matcher = part_snapshot.matcher();
         for query in workload.all() {
             assert_eq!(
                 part_matcher.estimate(query).to_bits(),

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use xseed::prelude::*;
+use xseed::xseed_core::estimate::{ExpandedPathTree, Matcher};
 
 /// Strategy: a small random XML document described as a nested tree over a
 /// tiny alphabet (so recursion and repeated labels actually happen).
@@ -284,10 +285,13 @@ proptest! {
             let bare = XseedSynopsis::build(&doc, config.clone());
             let (with_het, _) = XseedSynopsis::build_with_het(&doc, config.clone());
             for synopsis in [&bare, &with_het] {
-                let oracle = synopsis.estimator();
-                prop_assert!(oracle.ept_len() <= synopsis.config().max_ept_nodes.max(1));
-                prop_assert_eq!(synopsis.snapshot().frontier_memo().len(), oracle.ept_len());
-                let mut streaming = synopsis.streaming_matcher();
+                let ept =
+                    ExpandedPathTree::generate(synopsis.kernel(), synopsis.config(), synopsis.het());
+                let oracle = Matcher::new(synopsis.kernel(), &ept, synopsis.het());
+                prop_assert!(ept.len() <= synopsis.config().max_ept_nodes.max(1));
+                let snapshot = synopsis.snapshot();
+                prop_assert_eq!(snapshot.frontier_memo().len(), ept.len());
+                let mut streaming = snapshot.matcher();
                 for query in &queries {
                     let expected = oracle.estimate(query);
                     let got = streaming.estimate(query);
@@ -331,9 +335,11 @@ proptest! {
             let bare = XseedSynopsis::build(&doc, config.clone());
             let (with_het, _) = XseedSynopsis::build_with_het(&doc, config.clone());
             for synopsis in [&bare, &with_het] {
+                let snapshot = synopsis.snapshot();
+                let mut matcher = snapshot.matcher();
                 for query in &queries {
                     let actual = evaluator.count(query) as f64;
-                    let be = synopsis.estimate_bound(query);
+                    let be = matcher.estimate_bound(query);
                     prop_assert!(
                         be.bound + 1e-9 >= actual,
                         "{} (config {}, het: {}): bound {} < true cardinality {}",
@@ -532,12 +538,15 @@ fn streaming_matches_materialized_on_datagen_workloads() {
         let bare = XseedSynopsis::build(&doc, config.clone());
         let (with_het, _) = XseedSynopsis::build_with_het(&doc, config);
         for synopsis in [&bare, &with_het] {
-            let oracle = synopsis.estimator();
+            let ept =
+                ExpandedPathTree::generate(synopsis.kernel(), synopsis.config(), synopsis.het());
+            let oracle = Matcher::new(synopsis.kernel(), &ept, synopsis.het());
             assert!(
-                oracle.ept_len() <= synopsis.config().max_ept_nodes,
+                ept.len() <= synopsis.config().max_ept_nodes,
                 "{dataset:?}: threshold escalation must keep the expansion within the node bound"
             );
-            let mut streaming = synopsis.streaming_matcher();
+            let snapshot = synopsis.snapshot();
+            let mut streaming = snapshot.matcher();
             for query in workload.all() {
                 let expected = oracle.estimate(query);
                 let got = streaming.estimate(query);
