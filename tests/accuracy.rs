@@ -9,8 +9,9 @@
 //! checks against `tests/fixtures/<name>.golden`:
 //!
 //! * every per-query estimate and upper bound must match the committed
-//!   values (tight tolerance — this catches any estimator drift, better
-//!   or worse);
+//!   value bit for bit (the fixtures store each in Rust's shortest
+//!   round-trip form, so any estimator drift shows, better or worse,
+//!   down to the last bit);
 //! * every upper bound must dominate both the true cardinality and the
 //!   point estimate — zero violations, on every workload (the
 //!   differential soundness contract of `EST … mode=bound`);
@@ -175,7 +176,7 @@ fn render(scenario: &Scenario, measured: &Measured) -> String {
     let (p50, p90, p99) = measured.qerr_bound;
     out.push_str(&format!("qerr_bound\t{p50}\t{p90}\t{p99}\n"));
     for (query, est, bound, actual) in &measured.rows {
-        out.push_str(&format!("q\t{query}\t{est:.9}\t{bound:.9}\t{actual}\n"));
+        out.push_str(&format!("q\t{query}\t{est}\t{bound}\t{actual}\n"));
     }
     out
 }
@@ -261,17 +262,17 @@ fn check(scenario: &Scenario) {
             "{}: {query}: actual cardinality changed — dataset generation drifted",
             scenario.name
         );
-        // Golden values are printed with 9 fractional digits, so compare
-        // against the committed rounding, not full f64 precision.
-        let tolerance = 2e-9 + 1e-9 * est.abs();
-        assert!(
-            (est - g_est).abs() <= tolerance,
+        // Golden values are written in shortest round-trip form, so they
+        // parse back to the exact bits the estimator produced.
+        assert_eq!(
+            est.to_bits(),
+            g_est.to_bits(),
             "{}: {query}: estimate {est} drifted from golden {g_est}",
             scenario.name
         );
-        let bound_tolerance = 2e-9 + 1e-9 * bound.abs();
-        assert!(
-            (bound - g_bound).abs() <= bound_tolerance,
+        assert_eq!(
+            bound.to_bits(),
+            g_bound.to_bits(),
             "{}: {query}: bound {bound} drifted from golden {g_bound}",
             scenario.name
         );
