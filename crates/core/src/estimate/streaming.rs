@@ -56,13 +56,33 @@
 //! ## Pruning with reachable-label bitsets
 //!
 //! Before opening a recorded child position at vertex `v`, the matcher
-//! checks whether any frontier state could still complete inside `v`'s
-//! subtree: state `i` needs every named label of spine steps `i..` to
-//! occur at or below `v` ([`FrozenKernel::reaches_all`]). If no state
-//! passes — and no predicate evaluation is pending, which would need the
-//! full subtree — the replay jumps over the child's recorded extent in
-//! O(1). Skipping never changes the estimate (the skipped region cannot
-//! produce a result match), but it does mean the node count reported by
+//! asks whether the child's subtree can change the result. If it cannot,
+//! the replay jumps over the child's recorded extent in O(1). Two tests
+//! decide, and the child is skipped only when both say no:
+//!
+//! * **A frontier state is viable at `v`.** State `i` needs every named
+//!   label of spine steps `i..` to occur at or below `v`
+//!   ([`FrozenKernel::reaches_all`]). A state whose step `i` is a
+//!   child-axis step also needs `v`'s own label to pass that step's
+//!   test: at a child it does not match, the state neither advances nor
+//!   survives (only descendant-axis states pass down unchanged), so
+//!   nothing below `v` descends from it. A state that fails either test
+//!   cannot complete below `v`, so no result match, contribution or
+//!   predicate cell that is ever read comes from `v`'s subtree.
+//! * **The subtree can raise a pending embedding table.** Under a frame
+//!   whose predicate tables are active, a closing child folds
+//!   `f(q, child)` into its parent only where the child's label matches
+//!   predicate node `q`'s test, and otherwise passes up
+//!   `bsel × gd_child[q]`. A subtree holding none of the labels the
+//!   query's predicate nodes test ([`FrozenKernel::reaches_any`] against
+//!   the compiled predicate mask) matches no predicate node anywhere, so
+//!   all its tables stay 0 and every value it passes up is `bsel × 0`:
+//!   the parent's tables come out the same whether the subtree is
+//!   replayed or skipped. A wildcard predicate node matches every label,
+//!   so such a query replays every child under an active frame.
+//!
+//! Both prunes are exact: skipping never changes an estimate bit. They
+//! do mean the node count reported by
 //! [`StreamingMatcher::estimate_with_stats`] is the number of positions
 //! *visited*, at most the memo size, which equals the materialized EPT
 //! size.
@@ -133,8 +153,9 @@ struct SpineStep {
 
 /// A query compiled (label-resolved) against one snapshot's label space:
 /// the spine steps and flattened predicate nodes with their node tests
-/// resolved to [`LabelId`]s, dead-suffix flags, and the per-step
-/// required-label bitsets driving reachability pruning.
+/// resolved to [`LabelId`]s, dead-suffix flags, the per-step
+/// required-label bitsets driving reachability pruning, and the
+/// predicate-label bitset that prunes under pending predicate tables.
 ///
 /// A compiled query is only meaningful for the `(FrozenKernel, NameTable)`
 /// pair it was compiled against — label ids and bitset widths are
@@ -156,11 +177,22 @@ pub struct CompiledQuery {
     /// by steps `i..` (named spine tests only).
     req_masks: Vec<u64>,
     label_words: usize,
+    /// The labels the predicate nodes test, as a `label_words`-sized
+    /// bitset; `None` when some predicate node is a wildcard.
+    pred_mask: Option<Vec<u64>>,
 }
 
 impl CompiledQuery {
     fn req_mask(&self, idx: usize) -> &[u64] {
         &self.req_masks[idx * self.label_words..(idx + 1) * self.label_words]
+    }
+
+    /// Whether a subtree rooted at `v` could raise an embedding table:
+    /// some node in it may match a predicate node's test.
+    fn may_match_predicate(&self, frozen: &FrozenKernel, v: VertexId) -> bool {
+        self.pred_mask
+            .as_ref()
+            .is_none_or(|mask| frozen.reaches_any(v, mask))
     }
 }
 
@@ -870,7 +902,9 @@ impl<'a> StreamingMatcher<'a> {
 
     /// Estimates the cardinality, also reporting the number of memo
     /// positions *visited* by the replay: at most the materialized EPT
-    /// size, since reachability pruning skips whole subtrees.
+    /// size, since the replay skips every child subtree where no frontier
+    /// state is viable and no pending predicate table can rise (see the
+    /// module docs; both prunes leave the estimate's bits unchanged).
     pub fn estimate_with_stats(&mut self, expr: &PathExpr) -> (f64, usize) {
         if let Some(answer) = self.answer_without_traversal(expr) {
             return answer;
@@ -940,7 +974,9 @@ impl<'a> StreamingMatcher<'a> {
             let node = nodes[m as usize];
             let top = self.frames.len() - 1;
             self.frames[top].next_child = node.subtree_end;
-            if !frame.tables_active && !self.any_state_viable(&frame, node.vertex, query) {
+            let raises_tables =
+                frame.tables_active && query.may_match_predicate(self.frozen, node.vertex);
+            if !raises_tables && !self.any_state_viable(&frame, node.vertex, query) {
                 continue;
             }
             self.open_frame(node, m + 1, frame.states_start, frame.states_end, query);
@@ -1062,12 +1098,23 @@ impl<'a> StreamingMatcher<'a> {
             req_masks[i * label_words..(i + 1) * label_words].copy_from_slice(&suffix);
         }
 
+        // Predicate labels: a wildcard predicate node can match anything.
+        let mut pred_mask = Some(vec![0u64; label_words]);
+        for pred in &preds {
+            match (pred.test, pred_mask.as_mut()) {
+                (Test::Any, _) => pred_mask = None,
+                (Test::Label(l), Some(mask)) => mask[l.index() / 64] |= 1u64 << (l.index() % 64),
+                _ => {}
+            }
+        }
+
         CompiledQuery {
             spine,
             preds,
             dead,
             req_masks,
             label_words,
+            pred_mask,
         }
     }
 
@@ -1090,13 +1137,19 @@ impl<'a> StreamingMatcher<'a> {
     }
 
     /// Whether any inherited frontier state could still complete inside the
-    /// subtree of `child` (reachability prune; see the module docs).
+    /// subtree of `child`: a child-axis state must match `child` itself,
+    /// and every state needs its remaining labels at or below it (see the
+    /// module docs).
     fn any_state_viable(&self, parent: &Frame, child: VertexId, query: &CompiledQuery) -> bool {
+        let label = self.frozen.label(child);
         self.states[parent.states_start as usize..parent.states_end as usize]
             .iter()
             .any(|s| {
-                self.frozen
-                    .reaches_all(child, query.req_mask(s.idx as usize))
+                let step = &query.spine[s.idx as usize];
+                (step.axis == Axis::Descendant || step.test.matches(label))
+                    && self
+                        .frozen
+                        .reaches_all(child, query.req_mask(s.idx as usize))
             })
     }
 
@@ -1469,8 +1522,12 @@ impl<'a> StreamingMatcher<'a> {
     ///
     /// The frontier maps each synopsis vertex `v` (one per label) to
     /// `B(v)`, an upper bound on the number of document nodes at `v`
-    /// matched by the spine prefix processed so far. Soundness rests on
-    /// per-step arguments:
+    /// matched by the spine prefix processed so far. The three per-kernel
+    /// tables it reads are built once by [`FrozenKernel::freeze`]:
+    /// `total[v]` ([`FrozenKernel::node_total`]), the per-slot child count
+    /// ([`FrozenKernel::slot_child_total`]) and `maxdeg`
+    /// ([`FrozenKernel::slot_max_fanout`]). Soundness rests on per-step
+    /// arguments:
     ///
     /// * **Exact label totals.** `total[v]` is the exact number of
     ///   document nodes with `v`'s label: every non-root node is counted
@@ -1480,12 +1537,13 @@ impl<'a> StreamingMatcher<'a> {
     ///   level `r` has at most `c_r - p_r + 1` children at `v` (all
     ///   same-label children of one parent share one level, and each of
     ///   the `p_r` recorded parents has at least one child), so `maxdeg`
-    ///   — the maximum of that expression over levels — bounds any single
-    ///   parent's fan-out. `B(u) * maxdeg` then bounds the matched
-    ///   children through the edge, as does the edge's total child count;
-    ///   the minimum of the two is taken. Summing over frontier vertices
-    ///   is sound because distinct vertices carry distinct labels, hence
-    ///   disjoint parent-node sets, and every child has one parent.
+    ///   — the maximum of that expression over the levels with children —
+    ///   bounds any single parent's fan-out. `B(u) * maxdeg` then bounds
+    ///   the matched children through the edge, as does the edge's child
+    ///   count over all levels; the minimum of the two is taken. Summing
+    ///   over frontier vertices is sound because distinct vertices carry
+    ///   distinct labels, hence disjoint parent-node sets, and every child
+    ///   has one parent.
     /// * **Descendant steps.** Matched nodes are strict descendants of
     ///   some step `i-1` node, so their labels lie in the union of the
     ///   reachable-label rows of the frontier's *children* (a self-loop
@@ -1511,36 +1569,6 @@ impl<'a> StreamingMatcher<'a> {
         };
         let n = frozen.vertex_count();
 
-        // Exact per-label document node totals.
-        let mut total = vec![0u64; n];
-        total[root.index()] = 1;
-        for ui in 0..n {
-            for slot in frozen.out_slots(VertexId(ui as u32)) {
-                let vi = frozen.slot_target(slot).index();
-                for level in 0..frozen.slot_levels(slot) {
-                    total[vi] = total[vi].saturating_add(frozen.slot_child_count(slot, level));
-                }
-            }
-        }
-
-        // Per-slot aggregates: total children across levels, and the
-        // worst-case single-parent fan-out.
-        let slot_count = frozen.slot_count();
-        let mut cnt_total = vec![0u64; slot_count];
-        let mut maxdeg = vec![0u64; slot_count];
-        for slot in 0..slot_count {
-            for level in 0..frozen.slot_levels(slot) {
-                let c = frozen.slot_child_count(slot, level);
-                if c == 0 {
-                    continue;
-                }
-                cnt_total[slot] = cnt_total[slot].saturating_add(c);
-                let p = frozen.slot_parent_count(slot, level);
-                let deg = c.saturating_sub(p).saturating_add(1);
-                maxdeg[slot] = maxdeg[slot].max(deg);
-            }
-        }
-
         let het_clamp = |entry: (u64, PathTag)| -> (u64, PathTag) {
             let (b, tag) = entry;
             if let (Some(het), PathTag::Known(h)) = (self.het, tag) {
@@ -1565,15 +1593,17 @@ impl<'a> StreamingMatcher<'a> {
             Axis::Descendant => {
                 for (vi, slot) in frontier.iter_mut().enumerate() {
                     let v = VertexId(vi as u32);
-                    if step0.test.matches(frozen.label(v)) && total[vi] > 0 {
-                        *slot = Some((total[vi], PathTag::Ambiguous));
+                    let total = frozen.node_total(v);
+                    if step0.test.matches(frozen.label(v)) && total > 0 {
+                        *slot = Some((total, PathTag::Ambiguous));
                     }
                 }
             }
         }
 
+        let mut next: Vec<Option<(u64, PathTag)>> = vec![None; n];
         for step in &query.spine[1..] {
-            let mut next: Vec<Option<(u64, PathTag)>> = vec![None; n];
+            next.fill(None);
             match step.axis {
                 Axis::Child => {
                     for (ui, entry) in frontier.iter().enumerate() {
@@ -1589,8 +1619,9 @@ impl<'a> StreamingMatcher<'a> {
                             if !step.test.matches(label) {
                                 continue;
                             }
-                            let contribution =
-                                cnt_total[slot].min(b_u.saturating_mul(maxdeg[slot]));
+                            let contribution = frozen
+                                .slot_child_total(slot)
+                                .min(b_u.saturating_mul(frozen.slot_max_fanout(slot)));
                             if contribution == 0 {
                                 continue;
                             }
@@ -1610,7 +1641,8 @@ impl<'a> StreamingMatcher<'a> {
                     }
                     for (vi, entry) in next.iter_mut().enumerate() {
                         if let Some((b, t)) = *entry {
-                            *entry = Some(het_clamp((b.min(total[vi]), t)));
+                            let total = frozen.node_total(VertexId(vi as u32));
+                            *entry = Some(het_clamp((b.min(total), t)));
                         }
                     }
                 }
@@ -1634,17 +1666,18 @@ impl<'a> StreamingMatcher<'a> {
                     for (vi, entry) in next.iter_mut().enumerate() {
                         let v = VertexId(vi as u32);
                         let label = frozen.label(v);
-                        if !step.test.matches(label) || total[vi] == 0 {
+                        let total = frozen.node_total(v);
+                        if !step.test.matches(label) || total == 0 {
                             continue;
                         }
                         let word = label.index() / 64;
                         if word < words && mask[word] & (1u64 << (label.index() % 64)) != 0 {
-                            *entry = Some((total[vi], PathTag::Ambiguous));
+                            *entry = Some((total, PathTag::Ambiguous));
                         }
                     }
                 }
             }
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
         }
 
         frontier
@@ -1786,18 +1819,35 @@ mod tests {
 
     #[test]
     fn pruning_reduces_visited_nodes_without_changing_estimates() {
-        let kernel = KernelBuilder::from_document(&figure2_document());
-        let frozen = FrozenKernel::freeze(&kernel);
-        let config = XseedConfig::default();
-        let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        // /a/c/s/p: the t and u subtrees cannot contain the result labels.
-        let (est, visited) = m.estimate_with_stats(&parse("/a/c/s/p").unwrap());
-        assert!((est - 9.0).abs() < 1e-9);
-        assert!(visited < 14, "visited {visited} of 14 EPT nodes");
-        assert!(visited > 0);
-        // A wildcard query visits everything the materialized EPT holds.
-        let (_, all) = m.estimate_with_stats(&parse("//*").unwrap());
-        assert_eq!(all, 14);
+        // (document, query, estimate, memo positions visited). Figure 2's
+        // memo holds 14 positions, Figure 4's 9.
+        let cases = [
+            // The child-axis step `t` cannot match `u` or `c`.
+            (figure2_document(), "/a/t", 1.0, 2),
+            // Only `c` can match the child-axis step below `a`.
+            (figure2_document(), "/a/c/s/p", 9.0, 4),
+            // Under the pending `[t]` and `[s/p]` tables, subtrees without
+            // a predicate label are skipped too.
+            (figure2_document(), "/a/c/s[t]/p", 3.6, 8),
+            (figure2_document(), "/a/c[s/p]/s", 5.0, 9),
+            (figure4_document(), "/a/b[c]/d", 0.0, 3),
+            (figure4_document(), "/a[b/d]/b/c", 0.0, 5),
+            // A wildcard query visits everything the materialized EPT holds.
+            (figure2_document(), "//*", 36.0, 14),
+        ];
+        for (doc, q, expected, expected_visited) in cases {
+            let kernel = KernelBuilder::from_document(&doc);
+            let frozen = FrozenKernel::freeze(&kernel);
+            let config = XseedConfig::default();
+            let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
+            let expr = parse(q).unwrap();
+            let (est, visited) = m.estimate_with_stats(&expr);
+            let ept = ExpandedPathTree::generate(&kernel, &config, None);
+            let oracle = Matcher::new(&kernel, &ept, None).estimate(&expr);
+            assert!((est - oracle).abs() < 1e-9, "{q}: {est} != oracle {oracle}");
+            assert!((est - expected).abs() < 1e-9, "{q}: {est} != {expected}");
+            assert_eq!(visited, expected_visited, "{q}: visited positions");
+        }
     }
 
     #[test]

@@ -23,7 +23,15 @@
 //!   which lets the streaming matcher skip entire subtrees that cannot
 //!   contain a query's required labels;
 //! * **a packed-u64-key table** ([`FastMap`]) replacing the SipHash
-//!   `(VertexId, VertexId) -> EdgeId` map for read-side edge lookups.
+//!   `(VertexId, VertexId) -> EdgeId` map for read-side edge lookups;
+//! * **bound-mode tables** — per vertex, the exact number of document
+//!   nodes carrying its label ([`FrozenKernel::node_total`]); per out
+//!   slot, the edge's child count summed over recursion levels
+//!   ([`FrozenKernel::slot_child_total`]) and the most children any one
+//!   parent can have through it ([`FrozenKernel::slot_max_fanout`]).
+//!   They are derived from the level pairs above, built once here so a
+//!   bound request reads them instead of recomputing them, and never
+//!   persisted.
 //!
 //! The snapshot is invalidated (dropped and lazily rebuilt) whenever the
 //! synopsis hands out mutable kernel access; nothing in this module tracks
@@ -182,6 +190,12 @@ pub struct FrozenKernel {
     reach: Vec<u64>,
     /// Packed `(from, to)` pair -> out-slot index.
     edge_slots: FastMap,
+    /// Exact document node count per vertex (bound mode).
+    node_totals: Vec<u64>,
+    /// Per out slot: child count summed over levels (bound mode).
+    slot_child_totals: Vec<u64>,
+    /// Per out slot: worst-case single-parent fan-out (bound mode).
+    slot_max_fanouts: Vec<u64>,
 }
 
 impl FrozenKernel {
@@ -302,7 +316,7 @@ impl FrozenKernel {
             }
         }
 
-        FrozenKernel {
+        let mut frozen = FrozenKernel {
             root: kernel.root(),
             element_count: kernel.element_count(),
             labels,
@@ -318,7 +332,42 @@ impl FrozenKernel {
             label_words,
             reach,
             edge_slots,
+            node_totals: Vec::new(),
+            slot_child_totals: Vec::new(),
+            slot_max_fanouts: Vec::new(),
+        };
+        frozen.build_bound_tables();
+        frozen
+    }
+
+    /// Fills the bound-mode tables from the level pairs, saturating at
+    /// `u64::MAX`. Why each table bounds what it claims is argued where
+    /// bound mode reads them (`StreamingMatcher::compute_bound`).
+    fn build_bound_tables(&mut self) {
+        let slots = self.slot_count();
+        let mut node_totals = vec![0u64; self.vertex_count()];
+        if let Some(root) = self.root {
+            node_totals[root.index()] = 1;
         }
+        let mut slot_child_totals = vec![0u64; slots];
+        let mut slot_max_fanouts = vec![0u64; slots];
+        for slot in 0..slots {
+            let target = self.slot_target(slot).index();
+            for level in 0..self.slot_levels(slot) {
+                let c = self.slot_child_count(slot, level);
+                node_totals[target] = node_totals[target].saturating_add(c);
+                if c == 0 {
+                    continue;
+                }
+                slot_child_totals[slot] = slot_child_totals[slot].saturating_add(c);
+                let p = self.slot_parent_count(slot, level);
+                let fanout = c.saturating_sub(p).saturating_add(1);
+                slot_max_fanouts[slot] = slot_max_fanouts[slot].max(fanout);
+            }
+        }
+        self.node_totals = node_totals;
+        self.slot_child_totals = slot_child_totals;
+        self.slot_max_fanouts = slot_max_fanouts;
     }
 
     /// The root vertex, if the kernel is non-empty.
@@ -457,10 +506,37 @@ impl FrozenKernel {
         &self.reach[v.index() * self.label_words..(v.index() + 1) * self.label_words]
     }
 
+    /// Returns `true` if any bit of `mask` (a `label_words`-sized bitset)
+    /// is reachable at or below `v`.
+    #[inline]
+    pub fn reaches_any(&self, v: VertexId, mask: &[u64]) -> bool {
+        mask.iter().zip(self.reach_row(v)).any(|(m, r)| m & r != 0)
+    }
+
     /// Words per reachability bitset row (for sizing query-side masks).
     #[inline]
     pub fn label_words(&self) -> usize {
         self.label_words
+    }
+
+    /// The exact number of document nodes at `v` (saturating at
+    /// `u64::MAX`).
+    #[inline]
+    pub fn node_total(&self, v: VertexId) -> u64 {
+        self.node_totals[v.index()]
+    }
+
+    /// An out slot's child count summed over its recursion levels.
+    #[inline]
+    pub fn slot_child_total(&self, slot: usize) -> u64 {
+        self.slot_child_totals[slot]
+    }
+
+    /// The most children a single parent node can have through an out
+    /// slot's edge, over all its recursion levels.
+    #[inline]
+    pub fn slot_max_fanout(&self, slot: usize) -> u64 {
+        self.slot_max_fanouts[slot]
     }
 }
 
@@ -611,6 +687,22 @@ mod tests {
                     kernel.in_child_sum_from(v, level),
                     "in_child_sum_from({v:?}, {level})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bound_tables_count_every_document_node() {
+        for doc in [figure2_document(), figure4_document()] {
+            let kernel = KernelBuilder::from_document(&doc);
+            let frozen = FrozenKernel::freeze(&kernel);
+            let nodes: u64 = kernel.vertices().map(|v| frozen.node_total(v)).sum();
+            assert_eq!(nodes, frozen.element_count());
+            for slot in 0..frozen.slot_count() {
+                // One parent's children through an edge never outnumber
+                // the edge's children.
+                assert!(frozen.slot_max_fanout(slot) >= 1);
+                assert!(frozen.slot_max_fanout(slot) <= frozen.slot_child_total(slot));
             }
         }
     }

@@ -78,8 +78,8 @@ pub enum Response {
 }
 
 impl Response {
-    fn ok(body: impl Into<String>) -> Response {
-        Response::Line(format!("OK {}", body.into()))
+    fn ok(body: impl std::fmt::Display) -> Response {
+        Response::Line(format!("OK {body}"))
     }
 
     fn err(body: impl std::fmt::Display) -> Response {
@@ -471,16 +471,16 @@ fn handle_est(service: &Service, args: &str) -> Response {
             return Response::err(format_args!("unknown EST mode '{mode}' (supported: bound)"));
         }
         return match service.estimate_bound(name, query.trim()) {
-            Ok(be) => Response::ok(format!(
+            Ok(be) => Response::ok(format_args!(
                 "est={} bound={}",
-                format_est(be.estimate),
-                format_est(be.bound)
+                Est(be.estimate),
+                Est(be.bound)
             )),
             Err(e) => Response::service_err(e),
         };
     }
     match service.estimate(name, rest) {
-        Ok(est) => Response::ok(format_est(est)),
+        Ok(est) => Response::ok(Est(est)),
         Err(e) => Response::service_err(e),
     }
 }
@@ -499,11 +499,13 @@ fn handle_batch(service: &Service, args: &str) -> Response {
     }
     match service.estimate_batch(name, &queries) {
         Ok(estimates) => {
-            let mut body = format!("n={}", estimates.len());
+            // One reply string, every estimate written straight into it.
+            let mut reply = String::with_capacity(16 + 24 * estimates.len());
+            let _ = write!(reply, "OK n={}", estimates.len());
             for est in estimates {
-                let _ = write!(body, " {}", format_est(est));
+                let _ = write!(reply, " {}", Est(est));
             }
-            Response::ok(body)
+            Response::Line(reply)
         }
         Err(e) => Response::service_err(e),
     }
@@ -551,9 +553,9 @@ fn handle_feedback(service: &Service, args: &str) -> Response {
             let mut body = format!(
                 "feedback outcome={} estimated={} actual={} error={}",
                 fb.report.outcome,
-                format_est(fb.report.estimated),
+                Est(fb.report.estimated),
                 fb.report.actual,
-                format_est(fb.report.error),
+                Est(fb.report.error),
             );
             match fb.rebuild {
                 Some(ticket) => match ticket.wait() {
@@ -626,7 +628,7 @@ fn handle_maintain(service: &Service, args: &str) -> Response {
 fn policy_token(policy: MaintenancePolicy) -> String {
     match policy {
         MaintenancePolicy::Manual => "manual".to_string(),
-        MaintenancePolicy::ErrorMassBound(bound) => format!("error-mass:{}", format_est(bound)),
+        MaintenancePolicy::ErrorMassBound(bound) => format!("error-mass:{}", Est(bound)),
         MaintenancePolicy::FeedbackCount(count) => format!("every:{count}"),
     }
 }
@@ -664,7 +666,7 @@ fn handle_stats_flat(service: &Service) -> Response {
         stats.feedback_applied,
         stats.feedback_ignored,
         stats.rebuilds_triggered,
-        format_est(error_mass),
+        Est(error_mass),
     );
     // Served-accuracy percentiles (q-error, milli-resolution) — present
     // only when the observability layer is on.
@@ -709,7 +711,7 @@ fn handle_stats_flat(service: &Service) -> Response {
             info.size_bytes,
             info.compiled_hits,
             info.compiled_misses,
-            format_est(info.error_mass),
+            Est(info.error_mass),
             info.rebuilds,
         );
     }
@@ -740,7 +742,7 @@ fn handle_stats_json(service: &Service) -> Response {
         stats.feedback_applied,
         stats.feedback_ignored,
         stats.rebuilds_triggered,
-        format_est(error_mass),
+        Est(error_mass),
     );
     if let Some(obs) = service.obs() {
         let q = obs.q_error();
@@ -783,7 +785,7 @@ fn handle_stats_json(service: &Service) -> Response {
             info.size_bytes,
             info.compiled_hits,
             info.compiled_misses,
-            format_est(info.error_mass),
+            Est(info.error_mass),
             info.rebuilds,
         );
     }
@@ -950,13 +952,20 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn format_est(est: f64) -> String {
-    // Integral estimates print without a trailing ".0"; fractional ones
-    // keep full precision.
-    if est.fract() == 0.0 && est.abs() < 1e15 {
-        format!("{}", est as i64)
-    } else {
-        format!("{est}")
+/// An estimate on the wire: integral values print without a trailing
+/// ".0", fractional ones keep full precision (Rust's shortest round-trip
+/// form). Formatting through this wrapper writes the digits straight into
+/// the reply being built, with no `String` per value.
+struct Est(f64);
+
+impl std::fmt::Display for Est {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let est = self.0;
+        if est.fract() == 0.0 && est.abs() < 1e15 {
+            write!(f, "{}", est as i64)
+        } else {
+            write!(f, "{est}")
+        }
     }
 }
 

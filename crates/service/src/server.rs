@@ -36,7 +36,10 @@
 //!
 //! * a **connection limit** ([`ServerConfig::max_connections`]): a client
 //!   arriving past the limit receives one structured
-//!   `OVERLOADED connections=<n> max=<m>` line and is disconnected;
+//!   `OVERLOADED connections=<n> max=<m>` line and is disconnected. The
+//!   loop keeps the refused socket open for a moment, reading and
+//!   dropping what the client still sends, so the client sees a clean
+//!   EOF rather than a reset;
 //! * an **idle-session timeout** ([`ServerConfig::idle_timeout`]): a
 //!   connection that sends nothing for the configured duration receives
 //!   `ERR idle timeout, closing` and is dropped;
@@ -195,8 +198,16 @@ const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// replies before the socket is closed regardless.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
+/// How long a refused connection may linger, its input read and dropped,
+/// before it is closed regardless.
+const REFUSAL_LINGER: Duration = Duration::from_secs(1);
+
 /// The poller token of the listening socket; connections count up from 1.
 const LISTENER_TOKEN: u64 = 0;
+
+/// Set in the poller token of a lingering refused connection, so events
+/// for it never reach the connection table.
+const LINGER_TOKEN: u64 = 1 << 63;
 
 /// Per-connection state in the event loop.
 struct Conn {
@@ -225,28 +236,32 @@ struct Conn {
     interest: Interest,
 }
 
-/// Refuses a connection past the limit loudly: one structured line, then
-/// a clean close. The socket is still blocking here, but a one-line write
-/// to a fresh socket's empty send buffer cannot stall. Closing a socket
-/// whose input is unread makes the kernel answer with a reset, and a
-/// client that sent its request first could then read `ECONNRESET`
-/// instead of EOF. So the write half is shut down after the line, and the
-/// request bytes that have already arrived are read and dropped (without
-/// blocking, at most one request line's worth) before the socket closes.
-fn refuse(mut stream: TcpStream, open: usize, max: usize) {
-    let _ = writeln!(stream, "OVERLOADED connections={open} max={max}");
-    let _ = stream.shutdown(Shutdown::Write);
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
+/// A refused connection kept open after its `OVERLOADED` line: the loop
+/// reads and drops what the client sends until EOF, so bytes arriving
+/// after the refusal are not answered with a reset.
+struct Lingering {
+    stream: TcpStream,
+    /// Bytes read and dropped so far.
+    dropped: usize,
+    /// When the socket is closed regardless.
+    until: Instant,
+}
+
+/// Reads and drops whatever a refused socket has, without blocking.
+/// Returns `true` while the socket may keep lingering: no EOF, no error,
+/// and fewer than one request line's worth of bytes dropped.
+fn drop_input(stream: &mut TcpStream, dropped: &mut usize) -> bool {
     let mut sink = [0u8; 4096];
-    let mut drained = 0;
-    while drained < MAX_LINE_BYTES {
+    while *dropped < MAX_LINE_BYTES {
         match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => drained += n,
+            Ok(0) => return false,
+            Ok(n) => *dropped += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
         }
     }
+    false
 }
 
 /// The instant `conn` must be dealt with without client I/O: its drain
@@ -280,11 +295,16 @@ struct EventLoop {
     service: Arc<Service>,
     config: ServerConfig,
     conns: HashMap<u64, Conn>,
-    /// A lower bound on the earliest idle or drain deadline of any
-    /// connection (`None`: no connection has one). Lowered when a
-    /// connection is accepted or starts draining; a connection's idle
-    /// deadline only moves later, so the bound stays valid until it
-    /// passes, and only then does the loop walk every connection.
+    /// Refused connections still reading their client's input, keyed by
+    /// poller token (with [`LINGER_TOKEN`] set); at most
+    /// `max_connections` of them.
+    lingering: HashMap<u64, Lingering>,
+    /// A lower bound on the earliest idle, drain or linger deadline of
+    /// any connection (`None`: no connection has one). Lowered when a
+    /// connection is accepted, starts draining or starts lingering; a
+    /// connection's idle deadline only moves later, so the bound stays
+    /// valid until it passes, and only then does the loop walk every
+    /// connection.
     deadline_floor: Option<Instant>,
     next_token: u64,
     /// Whether the previous accept was refused, so the trace ring records
@@ -329,6 +349,7 @@ impl EventLoop {
             service,
             config,
             conns: HashMap::new(),
+            lingering: HashMap::new(),
             deadline_floor: None,
             next_token: LISTENER_TOKEN + 1,
             refusing: false,
@@ -351,6 +372,10 @@ impl EventLoop {
                     self.accept_ready();
                     continue;
                 }
+                if event.token & LINGER_TOKEN != 0 {
+                    self.linger_ready(event.token);
+                    continue;
+                }
                 if event.error {
                     self.close(event.token);
                     continue;
@@ -369,13 +394,23 @@ impl EventLoop {
     }
 
     /// Once the deadline floor has passed: expires idle sessions (with a
-    /// goodbye), force-closes draining sessions whose grace ran out, and
-    /// resets the floor to the earliest deadline left. Before that, no
-    /// deadline can be due and the call costs one comparison.
+    /// goodbye), force-closes draining sessions whose grace ran out and
+    /// refused connections whose linger ran out, and resets the floor to
+    /// the earliest deadline left. Before that, no deadline can be due
+    /// and the call costs one comparison.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         if self.deadline_floor.is_none_or(|floor| now < floor) {
             return;
+        }
+        let expired: Vec<u64> = self
+            .lingering
+            .iter()
+            .filter(|(_, lingering)| now >= lingering.until)
+            .map(|(&token, _)| token)
+            .collect();
+        for token in expired {
+            self.end_linger(token);
         }
         let mut idle = Vec::new();
         let mut dead = Vec::new();
@@ -404,12 +439,13 @@ impl EventLoop {
             .conns
             .values()
             .filter_map(|conn| deadline(conn, idle_timeout))
+            .chain(self.lingering.values().map(|lingering| lingering.until))
             .min();
     }
 
     /// Accepts every pending connection (level-triggered, so stopping at
     /// `WouldBlock` is safe). Arrivals past the connection limit get one
-    /// structured refusal line and are dropped.
+    /// structured refusal line and are refused ([`EventLoop::refuse`]).
     fn accept_ready(&mut self) {
         loop {
             let (stream, _) = match self.listener.accept() {
@@ -427,7 +463,7 @@ impl EventLoop {
                 }
             };
             if self.conns.len() >= self.max_connections {
-                refuse(stream, self.conns.len(), self.max_connections);
+                self.refuse(stream);
                 if !self.refusing {
                     self.refusing = true;
                     if let Some(obs) = self.service.obs() {
@@ -472,6 +508,71 @@ impl EventLoop {
                 lower_floor(&mut self.deadline_floor, idle_at);
             }
             self.conns.insert(token, conn);
+        }
+    }
+
+    /// Refuses a connection past the limit loudly: one structured line,
+    /// then a clean close. The socket is still blocking here, but a
+    /// one-line write to a fresh socket's empty send buffer cannot stall.
+    /// Closing a socket whose input is unread makes the kernel answer with
+    /// a reset, and a client that sent its request first, or sends after
+    /// reading the line, could then read `ECONNRESET` or fail a write with
+    /// `EPIPE`. So the write half is shut down after the line, and the
+    /// socket lingers in the poller, outside the connection table and its
+    /// limit: the loop reads and drops its input until EOF, one request
+    /// line's worth of bytes, or [`REFUSAL_LINGER`]. At most
+    /// `max_connections` refusals linger at once; past that, what has
+    /// already arrived is dropped and the socket closes at once.
+    fn refuse(&mut self, mut stream: TcpStream) {
+        let line = format!(
+            "OVERLOADED connections={} max={}\n",
+            self.conns.len(),
+            self.max_connections
+        );
+        let _ = stream.write_all(line.as_bytes());
+        let _ = stream.shutdown(Shutdown::Write);
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let mut dropped = 0;
+        if !drop_input(&mut stream, &mut dropped) || self.lingering.len() >= self.max_connections {
+            return;
+        }
+        let token = LINGER_TOKEN | self.next_token;
+        self.next_token += 1;
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, Interest::READABLE)
+            .is_err()
+        {
+            return;
+        }
+        let until = Instant::now() + REFUSAL_LINGER;
+        lower_floor(&mut self.deadline_floor, until);
+        self.lingering.insert(
+            token,
+            Lingering {
+                stream,
+                dropped,
+                until,
+            },
+        );
+    }
+
+    /// Drops what a lingering refused connection sent; closes it at EOF,
+    /// on an error, or once it has sent a request line's worth.
+    fn linger_ready(&mut self, token: u64) {
+        let Some(lingering) = self.lingering.get_mut(&token) else {
+            return;
+        };
+        if !drop_input(&mut lingering.stream, &mut lingering.dropped) {
+            self.end_linger(token);
+        }
+    }
+
+    fn end_linger(&mut self, token: u64) {
+        if let Some(lingering) = self.lingering.remove(&token) {
+            let _ = self.poller.remove(lingering.stream.as_raw_fd());
         }
     }
 

@@ -1,11 +1,12 @@
 //! The nonblocking TCP event loop, exercised over real sockets:
 //! pipelining, half-closed sessions, slow-consumer backpressure,
-//! connection limiting with the structured `OVERLOADED` refusal,
-//! per-client rate-limiter fairness, idle-session timeouts, a
-//! high-connection idle soak, and the remote-session security policy.
+//! connection limiting with the structured `OVERLOADED` refusal and its
+//! lingering close, per-client rate-limiter fairness, idle-session
+//! timeouts, a high-connection idle soak, and the remote-session security
+//! policy.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use xseed_service::{Catalog, MaintenancePolicy, ServerConfig, Service, ServiceConfig, TcpServer};
@@ -201,6 +202,39 @@ fn a_refused_client_that_sent_first_reads_the_line_then_a_clean_eof() {
         Some("OVERLOADED connections=1 max=1")
     );
     assert_eq!(second.recv_eof(), None);
+}
+
+#[test]
+fn a_refused_client_that_sends_after_the_line_reads_a_clean_eof() {
+    let addr = spawn_server(ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    });
+    let mut first = Client::connect(addr);
+    first.send("EST fig2 //p");
+    assert_eq!(first.recv(), "OK 17");
+
+    // The refused client reads its line, then sends a request in two
+    // writes. The server must still be reading (and dropping) its input:
+    // had it closed the socket, the first write would draw a reset and
+    // the second would fail with `EPIPE`.
+    let mut second = Client::connect(addr);
+    assert_eq!(second.recv(), "OVERLOADED connections=1 max=1");
+    second
+        .writer
+        .write_all(b"EST fig2 ")
+        .expect("first write after the refusal");
+    std::thread::sleep(Duration::from_millis(10));
+    second
+        .writer
+        .write_all(b"/a/c/s\n")
+        .expect("second write after the refusal");
+    second.writer.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(second.recv_eof(), None);
+
+    // The lingering refusal took no slot from the admitted session.
+    first.send("EST fig2 /a/c/s");
+    assert_eq!(first.recv(), "OK 5");
 }
 
 #[test]
@@ -446,7 +480,7 @@ fn a_quit_session_that_never_reads_is_force_closed_after_its_drain_grace() {
     loop {
         let mut probe = Client::connect(addr);
         // A refused probe may see its request reset instead of the
-        // refusal line, since the server closes without reading it.
+        // refusal line when too many refusals already linger.
         let _ = writeln!(probe.writer, "EST fig2 /a/c/s");
         let mut reply = String::new();
         match probe.reader.read_line(&mut reply) {
