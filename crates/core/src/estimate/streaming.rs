@@ -1099,14 +1099,17 @@ impl<'a> StreamingMatcher<'a> {
         }
 
         // Predicate labels: a wildcard predicate node can match anything.
-        let mut pred_mask = Some(vec![0u64; label_words]);
-        for pred in &preds {
-            match (pred.test, pred_mask.as_mut()) {
-                (Test::Any, _) => pred_mask = None,
-                (Test::Label(l), Some(mask)) => mask[l.index() / 64] |= 1u64 << (l.index() % 64),
-                _ => {}
+        let pred_mask = if preds.iter().any(|p| p.test == Test::Any) {
+            None
+        } else {
+            let mut mask = vec![0u64; label_words];
+            for pred in &preds {
+                if let Test::Label(l) = pred.test {
+                    mask[l.index() / 64] |= 1u64 << (l.index() % 64);
+                }
             }
-        }
+            Some(mask)
+        };
 
         CompiledQuery {
             spine,
