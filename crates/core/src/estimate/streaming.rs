@@ -173,26 +173,27 @@ pub struct CompiledQuery {
     /// (some later step names an absent label, or carries a predicate that
     /// does).
     dead: Vec<bool>,
-    /// Per spine index, a `label_words`-sized bitset of the labels required
-    /// by steps `i..` (named spine tests only).
-    req_masks: Vec<u64>,
+    /// `label_words`-sized label bitsets, one row per spine index `i`
+    /// holding the labels required by steps `i..` (named spine tests
+    /// only), then one last row holding the labels the predicate nodes
+    /// test. One allocation serves both, since compiled-plan caches hold
+    /// thousands of these.
+    masks: Vec<u64>,
     label_words: usize,
-    /// The labels the predicate nodes test, as a `label_words`-sized
-    /// bitset; `None` when some predicate node is a wildcard.
-    pred_mask: Option<Vec<u64>>,
+    /// Some predicate node is a wildcard: it matches every label, so the
+    /// predicate row cannot rule a subtree out.
+    pred_wildcard: bool,
 }
 
 impl CompiledQuery {
     fn req_mask(&self, idx: usize) -> &[u64] {
-        &self.req_masks[idx * self.label_words..(idx + 1) * self.label_words]
+        &self.masks[idx * self.label_words..(idx + 1) * self.label_words]
     }
 
     /// Whether a subtree rooted at `v` could raise an embedding table:
     /// some node in it may match a predicate node's test.
     fn may_match_predicate(&self, frozen: &FrozenKernel, v: VertexId) -> bool {
-        self.pred_mask
-            .as_ref()
-            .is_none_or(|mask| frozen.reaches_any(v, mask))
+        self.pred_wildcard || frozen.reaches_any(v, self.req_mask(self.spine.len()))
     }
 }
 
@@ -1087,37 +1088,32 @@ impl<'a> StreamingMatcher<'a> {
             dead[i] = blocked;
         }
 
-        // Required-label masks, as suffix unions of the named spine tests.
+        // Required-label masks, as suffix unions of the named spine tests,
+        // then the predicate labels.
         let label_words = self.frozen.label_words();
-        let mut req_masks = vec![0u64; spine.len() * label_words];
+        let mut masks = vec![0u64; (spine.len() + 1) * label_words];
         let mut suffix = vec![0u64; label_words];
         for i in (0..spine.len()).rev() {
             if let Test::Label(l) = spine[i].test {
                 suffix[l.index() / 64] |= 1u64 << (l.index() % 64);
             }
-            req_masks[i * label_words..(i + 1) * label_words].copy_from_slice(&suffix);
+            masks[i * label_words..(i + 1) * label_words].copy_from_slice(&suffix);
         }
-
-        // Predicate labels: a wildcard predicate node can match anything.
-        let pred_mask = if preds.iter().any(|p| p.test == Test::Any) {
-            None
-        } else {
-            let mut mask = vec![0u64; label_words];
-            for pred in &preds {
-                if let Test::Label(l) = pred.test {
-                    mask[l.index() / 64] |= 1u64 << (l.index() % 64);
-                }
+        let pred_row = spine.len() * label_words;
+        for pred in &preds {
+            if let Test::Label(l) = pred.test {
+                masks[pred_row + l.index() / 64] |= 1u64 << (l.index() % 64);
             }
-            Some(mask)
-        };
+        }
+        let pred_wildcard = preds.iter().any(|p| p.test == Test::Any);
 
         CompiledQuery {
             spine,
             preds,
             dead,
-            req_masks,
+            masks,
             label_words,
-            pred_mask,
+            pred_wildcard,
         }
     }
 
