@@ -499,7 +499,8 @@ fn handle_batch(service: &Service, args: &str) -> Response {
     }
     match service.estimate_batch(name, &queries) {
         Ok(estimates) => {
-            // One reply string, every estimate written straight into it.
+            // Formatted in place: no `String` per estimate and no second
+            // copy of the body.
             let mut reply = String::with_capacity(16 + 24 * estimates.len());
             let _ = write!(reply, "OK n={}", estimates.len());
             for est in estimates {
