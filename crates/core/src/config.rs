@@ -39,8 +39,10 @@ pub struct XseedConfig {
     /// cache serving [`crate::estimate::StreamingMatcher::estimate_plan`].
     /// A serving-layer knob rather than an estimator parameter: size it to
     /// the distinct-query working set of the workload (each entry is a
-    /// few hundred bytes). The cache is created lazily, so synopses never
-    /// used through cached plans pay nothing.
+    /// few hundred bytes of compiled query, plus 32 bytes for the two
+    /// answer cells that let a repeat skip the replay). The cache is
+    /// created lazily, so synopses never used through cached plans pay
+    /// nothing.
     pub compiled_cache_capacity: usize,
 }
 

@@ -87,6 +87,17 @@
 //! *visited*, at most the memo size, which equals the materialized EPT
 //! size.
 //!
+//! ## Repeats
+//!
+//! An estimate is a pure function of the snapshot and the query, so a
+//! [`CompiledQuery`] held by the snapshot's [`CompiledPlanCache`] keeps
+//! the point estimate and raw bound that its first plan estimate
+//! computed, and later plan estimates read them instead of replaying.
+//! The expression entry points ([`StreamingMatcher::estimate`],
+//! [`StreamingMatcher::estimate_bound`],
+//! [`StreamingMatcher::estimate_with_stats`]) compile fresh and always
+//! replay.
+//!
 //! The snapshot is valid until the kernel is mutated; see
 //! [`crate::synopsis::XseedSynopsis::kernel_mut`] for the invalidation
 //! contract.
@@ -97,7 +108,7 @@ use crate::het::table::HyperEdgeTable;
 use crate::kernel::{FrozenKernel, VertexId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use xmlkit::names::{LabelId, NameTable};
 use xpathkit::ast::{Axis, NodeTest, PathExpr};
@@ -155,12 +166,22 @@ struct SpineStep {
 /// the spine steps and flattened predicate nodes with their node tests
 /// resolved to [`LabelId`]s, dead-suffix flags, the per-step
 /// required-label bitsets driving reachability pruning, and the
-/// predicate-label bitset that prunes under pending predicate tables.
+/// predicate-label bitset that prunes under pending predicate tables —
+/// plus two write-once **answer cells**: the query's point estimate and
+/// its raw bound on that snapshot.
 ///
-/// A compiled query is only meaningful for the `(FrozenKernel, NameTable)`
-/// pair it was compiled against — label ids and bitset widths are
-/// snapshot-specific — which is why the caching layer
-/// ([`CompiledPlanCache`]) lives *inside* each
+/// An estimate is a pure function of the snapshot and the query, so the
+/// first [`StreamingMatcher::estimate_plan_timed`] or
+/// [`StreamingMatcher::estimate_plan_bound_timed`] that replays the memo
+/// (or runs the bound propagation) for a cached compilation fills its
+/// cell, and every later estimate of that plan reads it instead of
+/// replaying. A cell is filled outside any lock; two racing fills compute
+/// the same bits and the first one stays.
+///
+/// A compiled query is only meaningful for the snapshot it was compiled
+/// against — label ids and bitset widths are snapshot-specific, and the
+/// answers hold for that snapshot's kernel, config and HET only — which
+/// is why the caching layer ([`CompiledPlanCache`]) lives *inside* each
 /// [`crate::synopsis::SynopsisSnapshot`]: an epoch bump publishes a fresh
 /// snapshot with a fresh (empty) cache, so invalidation needs no extra
 /// machinery. The struct is opaque; obtain one through
@@ -183,6 +204,22 @@ pub struct CompiledQuery {
     /// Some predicate node is a wildcard: it matches every label, so the
     /// predicate row cannot rule a subtree out.
     pred_wildcard: bool,
+    /// The point estimate, once a plan estimate has replayed the memo.
+    estimate: OnceLock<f64>,
+    /// The raw `compute_bound` value, once a bound request has run it.
+    bound: OnceLock<u64>,
+}
+
+/// Reads a write-once answer cell, filling it from `compute` when it is
+/// empty. `compute` runs outside any lock: a racing fill computes the
+/// same bits, and the first value set stays.
+fn read_or_fill<T: Copy>(cell: &OnceLock<T>, compute: impl FnOnce() -> T) -> T {
+    if let Some(&value) = cell.get() {
+        return value;
+    }
+    let value = compute();
+    let _ = cell.set(value);
+    value
 }
 
 impl CompiledQuery {
@@ -305,7 +342,8 @@ struct MemoNode {
 /// The expansion is *query-independent* (which children open depends only
 /// on the synopsis, the config thresholds, and the HET overrides), so one
 /// memo serves every query estimated against the same snapshot: every
-/// [`StreamingMatcher`] estimate replays it, and reachability pruning
+/// [`StreamingMatcher`] estimate that is not a stored answer (see
+/// [`CompiledQuery`]) replays it, and reachability pruning
 /// skips a subtree that cannot complete any frontier state via its stored
 /// extent.
 ///
@@ -579,7 +617,9 @@ struct CachedCompiled {
 }
 
 /// A per-snapshot cache of label-resolved [`CompiledQuery`]s, keyed by
-/// [`QueryPlan::id`] — plan-cache hits skip recompilation entirely.
+/// [`QueryPlan::id`] — plan-cache hits skip recompilation entirely, and
+/// since each compiled query also carries its answer cells, a repeat of
+/// an estimated plan skips the replay too.
 ///
 /// Sharded by plan id with per-shard mutexes and tick-stamped LRU
 /// eviction, mirroring the service-layer plan cache: concurrent workers
@@ -588,11 +628,13 @@ struct CachedCompiled {
 /// produce identical artifacts; the first insert wins and the loser's is
 /// dropped).
 ///
-/// A compiled query is only valid for the snapshot whose label space it
-/// was resolved against, so the cache is owned by the snapshot bundle
+/// A compiled query and its answers are only valid for the snapshot it
+/// was compiled against, so the cache is owned by the snapshot bundle
 /// ([`crate::synopsis::SynopsisSnapshot`]): a kernel/config/HET mutation
 /// bumps the epoch, publishes a fresh snapshot, and thereby starts from an
 /// empty cache — invalidation falls out of the existing epoch machinery.
+/// A cache shared across snapshots would therefore hand one snapshot
+/// another snapshot's estimates.
 pub struct CompiledPlanCache {
     shards: Box<[Mutex<CompiledShard>]>,
     shard_capacity: usize,
@@ -792,9 +834,12 @@ impl<'a> StreamingMatcher<'a> {
     }
 
     /// Installs a shared per-snapshot compiled-query cache consulted by
-    /// [`StreamingMatcher::estimate_plan`]. The cache must hold queries
-    /// compiled against the same snapshot (frozen kernel + name table)
-    /// this matcher was created over — the same caller's contract as
+    /// [`StreamingMatcher::estimate_plan`] and
+    /// [`StreamingMatcher::estimate_plan_bound_timed`]. The cache holds
+    /// compiled queries *and their answers*, so it must come from the same
+    /// snapshot (frozen kernel, name table, config and HET) this matcher
+    /// was created over: a cache filled on another snapshot returns that
+    /// snapshot's estimates. This is the same caller's contract as
     /// [`StreamingMatcher::set_frontier_memo`], upheld by construction
     /// when matchers come from
     /// [`crate::synopsis::SynopsisSnapshot::matcher`].
@@ -810,8 +855,10 @@ impl<'a> StreamingMatcher<'a> {
     /// Estimates a cached [`QueryPlan`], reusing its compiled
     /// (label-resolved) form across calls when a [`CompiledPlanCache`] is
     /// installed — the service hot path: a plan-cache hit then skips both
-    /// the parse *and* the compilation. Without a cache this is equivalent
-    /// to `estimate(plan.expr())`.
+    /// the parse *and* the compilation, and a repeat of a plan already
+    /// estimated on this snapshot reads the compiled query's answer cell
+    /// instead of replaying the memo (the same bits). Without a cache this
+    /// is equivalent to `estimate(plan.expr())`.
     pub fn estimate_plan(&mut self, plan: &QueryPlan) -> f64 {
         self.estimate_plan_timed(plan).0
     }
@@ -829,7 +876,8 @@ impl<'a> StreamingMatcher<'a> {
             return (answer, None);
         }
         let (compiled, compile_time) = self.compiled_plan(plan);
-        (self.run_compiled(&compiled).0, compile_time)
+        let estimate = read_or_fill(&compiled.estimate, || self.run_compiled(&compiled).0);
+        (estimate, compile_time)
     }
 
     /// The compiled form of `plan` — from the installed cache, or compiled
@@ -874,6 +922,8 @@ impl<'a> StreamingMatcher<'a> {
     /// sharing the compiled form with the point path when a
     /// [`CompiledPlanCache`] is installed: one cache lookup serves both
     /// halves, so a bound request counts once in the cache's counters.
+    /// Both halves read and fill the compiled query's answer cells, so a
+    /// repeat neither replays the memo nor reruns the bound propagation.
     /// The point half keeps [`StreamingMatcher::estimate_plan`]'s HET
     /// fast path. Like [`StreamingMatcher::estimate_plan_timed`], also
     /// reports the compilation time when this call compiled the plan.
@@ -892,9 +942,9 @@ impl<'a> StreamingMatcher<'a> {
     fn bound_compiled(&mut self, expr: &PathExpr, query: &CompiledQuery) -> BoundedEstimate {
         let estimate = match self.answer_without_traversal(expr) {
             Some((answer, _)) => answer,
-            None => self.run_compiled(query).0,
+            None => read_or_fill(&query.estimate, || self.run_compiled(query).0),
         };
-        let raw = self.compute_bound(query) as f64;
+        let raw = read_or_fill(&query.bound, || self.compute_bound(query)) as f64;
         BoundedEstimate {
             estimate,
             bound: raw.max(estimate),
@@ -1114,6 +1164,8 @@ impl<'a> StreamingMatcher<'a> {
             masks,
             label_words,
             pred_wildcard,
+            estimate: OnceLock::new(),
+            bound: OnceLock::new(),
         }
     }
 
@@ -2012,6 +2064,81 @@ mod tests {
         assert_eq!(stats.misses as usize, FIGURE2_QUERIES.len());
         assert_eq!(stats.hits as usize, FIGURE2_QUERIES.len());
         assert_eq!(stats.entries, FIGURE2_QUERIES.len().min(64));
+    }
+
+    /// Runs `estimate_plan` twice and `estimate_plan_bound_timed` twice on
+    /// `plan` (the bound requests first when `bound_first`), checking each
+    /// answer's bits against a fresh compile of the expression and each
+    /// call's compiled-cache lookups, then that the cached compilation
+    /// holds the answers.
+    fn assert_answer_cells(
+        m: &mut StreamingMatcher<'_>,
+        cache: &CompiledPlanCache,
+        plan: &QueryPlan,
+        bound_first: bool,
+    ) {
+        let expr = plan.expr();
+        let point = m.estimate(expr);
+        let bounded = m.estimate_bound(expr);
+        // The HET fast path answers a point estimate before the lookup.
+        let replays = m.answer_without_traversal(expr).is_none();
+        let lookups = || {
+            let stats = cache.stats();
+            stats.hits + stats.misses
+        };
+        let order = if bound_first {
+            [true, true, false, false]
+        } else {
+            [false, false, true, true]
+        };
+        for bound in order {
+            let before = lookups();
+            if bound {
+                let (got, _) = m.estimate_plan_bound_timed(plan);
+                assert_eq!(got.estimate.to_bits(), bounded.estimate.to_bits(), "{expr}");
+                assert_eq!(got.bound.to_bits(), bounded.bound.to_bits(), "{expr}");
+                assert_eq!(lookups(), before + 1, "{expr}: bound lookups");
+            } else {
+                assert_eq!(m.estimate_plan(plan).to_bits(), point.to_bits(), "{expr}");
+                assert_eq!(lookups(), before + u64::from(replays), "{expr}: lookups");
+            }
+        }
+        let cached = cache.get_or_compile(plan.id(), || unreachable!("{expr} is cached"));
+        let stored = cached.estimate.get().map(|e| e.to_bits());
+        assert_eq!(stored, replays.then_some(point.to_bits()), "{expr}");
+        assert!(cached.bound.get().is_some(), "{expr}: bound cell");
+    }
+
+    #[test]
+    fn answer_cells_return_the_replay_bits() {
+        use crate::synopsis::XseedSynopsis;
+        use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
+        let docs = [
+            (figure2_document(), false),
+            (figure4_document(), false),
+            (Dataset::XMark10.generate_scaled(0.02), true),
+            (Dataset::Dblp.generate_scaled(0.02), true),
+        ];
+        for (doc, het) in docs {
+            let config = XseedConfig::default();
+            let synopsis = if het {
+                XseedSynopsis::build_with_het(&doc, config).0
+            } else {
+                XseedSynopsis::build(&doc, config)
+            };
+            let snap = synopsis.snapshot();
+            let mut m = snap.matcher();
+            let workload = WorkloadGenerator::new(&doc, 24).generate(&WorkloadSpec::small());
+            for expr in workload.all() {
+                // One parse estimated point-first, a second parse of the
+                // same text (a distinct plan identity) bound-first.
+                let text = expr.to_string();
+                for bound_first in [false, true] {
+                    let plan = QueryPlan::parse(&text).unwrap();
+                    assert_answer_cells(&mut m, snap.compiled_cache(), &plan, bound_first);
+                }
+            }
+        }
     }
 
     #[test]

@@ -505,11 +505,11 @@ struct SnapshotInner {
     /// estimating from this snapshot.
     memo: OnceLock<Arc<FrontierMemo>>,
     /// Per-snapshot compiled-query cache (plan id → label-resolved
-    /// [`crate::estimate::streaming::CompiledQuery`]), created on first
-    /// use and shared by every matcher handed out from this snapshot. An
-    /// epoch bump publishes a fresh snapshot and thereby a fresh cache, so
-    /// stale compilations can never outlive the label space they were
-    /// resolved against.
+    /// [`crate::estimate::streaming::CompiledQuery`] with its answer
+    /// cells), created on first use and shared by every matcher handed out
+    /// from this snapshot. An epoch bump publishes a fresh snapshot and
+    /// thereby a fresh cache, so stale compilations and answers can never
+    /// outlive the snapshot they were computed on — exactly like `memo`.
     compiled: OnceLock<Arc<CompiledPlanCache>>,
 }
 
@@ -567,7 +567,11 @@ impl SynopsisSnapshot {
     }
 
     /// The snapshot's shared compiled-query cache, created on first use.
-    /// Capacity comes from [`XseedConfig::compiled_cache_capacity`].
+    /// Capacity comes from [`XseedConfig::compiled_cache_capacity`]. It
+    /// holds each plan's compiled form *and* its answers on this snapshot
+    /// (a repeat estimate reads them instead of replaying), so installing
+    /// it in a matcher over another snapshot returns this snapshot's
+    /// estimates.
     pub fn compiled_cache(&self) -> &Arc<CompiledPlanCache> {
         self.inner.compiled.get_or_init(|| {
             Arc::new(CompiledPlanCache::new(
@@ -605,8 +609,9 @@ impl SynopsisSnapshot {
 
     /// Estimates one cached plan through the snapshot's compiled-query
     /// cache: a repeat of the same [`xpathkit::QueryPlan`] (same identity)
-    /// skips recompilation entirely. One-shot matcher; for many plans
-    /// prefer [`SynopsisSnapshot::matcher`].
+    /// skips recompilation and the replay, reading the answer the first
+    /// estimate stored. One-shot matcher; for many plans prefer
+    /// [`SynopsisSnapshot::matcher`].
     pub fn estimate_plan(&self, plan: &xpathkit::QueryPlan) -> f64 {
         self.matcher().estimate_plan(plan)
     }

@@ -13,9 +13,11 @@
 //! [`xseed_core::StreamingMatcher`] from [`SynopsisSnapshot::matcher`]
 //! per request, so a batch keeps the matcher's scratch buffers warm, and
 //! each plan goes through the snapshot's compiled-query cache, so a
-//! plan-cache hit pays neither the parse nor the compile. Every estimate
-//! replays the snapshot's frontier memo, which the first estimate after
-//! an epoch bump builds and every thread then shares.
+//! plan-cache hit pays neither the parse nor the compile. A plan's first
+//! estimate on a snapshot replays the snapshot's frontier memo, which the
+//! first estimate after an epoch bump builds and every thread then
+//! shares; its repeats read the answer that replay stored in the
+//! compiled query.
 //!
 //! ## Backpressure and admission control
 //!
@@ -1352,5 +1354,52 @@ mod tests {
         grafted.unwrap();
         let after = service.estimate("fig2", "/a/zzz").unwrap();
         assert!((after - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_answer_outlives_its_snapshot() {
+        // `/a/c/s/p` is no simple path the HET holds, so its estimates go
+        // through the compiled cache and replay the memo (or read the
+        // compiled query's answer cells) instead of taking the HET fast
+        // path. A FEEDBACK of a wrong actual for `/a/c/s` (5 nodes, fed
+        // back as 7) puts an entry into the HET that the replay reads at
+        // `/a/c/s`; a re-LOAD under the same name then brings the plain
+        // kernel back. Each publishes a snapshot with different answers,
+        // while the service's plan cache keeps handing out the same plan.
+        const QUERY: &str = "/a/c/s/p";
+        let expr = xpathkit::parse(QUERY).unwrap();
+        let service = fig2_service(1);
+        let bits = |b: BoundedEstimate| (b.estimate.to_bits(), b.bound.to_bits());
+        let served = |service: &Service| {
+            let point = service.estimate("fig2", QUERY).unwrap();
+            let bounded = service.estimate_bound("fig2", QUERY).unwrap();
+            // The repeats read the answer cells the first calls filled.
+            let repeat = service.estimate("fig2", QUERY).unwrap();
+            assert_eq!(repeat.to_bits(), point.to_bits());
+            let repeat = service.estimate_bound("fig2", QUERY).unwrap();
+            assert_eq!(bits(repeat), bits(bounded));
+            let snapshot = service.catalog().snapshot("fig2").unwrap();
+            let stats = snapshot.compiled_cache_stats();
+            assert_eq!((stats.misses, stats.hits), (1, 3), "all four looked up");
+            assert_eq!(point.to_bits(), snapshot.estimate(&expr).to_bits());
+            let fresh = snapshot.matcher().estimate_bound(&expr);
+            assert_eq!(bits(bounded), bits(fresh));
+            (point.to_bits(), bits(bounded))
+        };
+
+        let loaded = served(&service);
+        let fb = service.feedback("fig2", "/a/c/s", 7, None).unwrap();
+        assert_eq!(fb.report.outcome, xseed_core::FeedbackOutcome::SimplePath);
+        let fed_back = served(&service);
+        assert_ne!(fed_back.0, loaded.0, "the HET entry moves the estimate");
+
+        service.catalog().insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
+        let reloaded = served(&service);
+        assert_ne!(reloaded.0, fed_back.0, "the re-LOAD drops the HET entry");
+        assert_eq!(reloaded, loaded);
     }
 }
