@@ -6,7 +6,8 @@
 //! pre-service single-threaded client baseline (parse the text, call
 //! `XseedSynopsis::estimate` per query). Also measures the
 //! per-snapshot **compiled-query cache** (batched passes with
-//! `estimate_plan` vs compiling every estimate from its expression) and
+//! `estimate_plan`, whose warm repeats read each compiled entry's answer
+//! cells, vs compiling and replaying every estimate from its expression) and
 //! the **overload** fast-fail path (shed-decision latency and bound
 //! enforcement with the whole budget held). The **netloop** rows push mixed
 //! hot/flood traffic and a high-connection idle soak through the real
@@ -148,9 +149,9 @@ fn service_pass(service: &Service, doc: &str, texts: &[String]) -> usize {
     texts.len()
 }
 
-/// Batched pass compiling every estimate from its expression — the
-/// compiled-cache-**off** shape (what the service's executor did before the
-/// per-snapshot compiled cache existed).
+/// Batched pass compiling every estimate from its expression and
+/// replaying the memo — the compiled-cache-**off** shape (what the
+/// service's executor did before the per-snapshot compiled cache existed).
 fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
     let mut matcher = snapshot.matcher();
     let mut sink = 0.0;
@@ -162,7 +163,8 @@ fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
 }
 
 /// Batched pass through `estimate_plan` — the compiled-cache-**on** shape:
-/// after the warm-up pass every estimate is a compiled-cache hit.
+/// after the warm-up pass every estimate is a compiled-cache hit answered
+/// from the entry's answer cell, without a replay.
 fn compiled_on_pass(snapshot: &SynopsisSnapshot, plans: &[Arc<QueryPlan>]) -> usize {
     let mut matcher = snapshot.matcher();
     let mut sink = 0.0;
@@ -576,7 +578,7 @@ fn concurrent_benches(c: &mut Criterion) {
     }
 
     let mut report = String::from("{\n  \"bench\": \"concurrent_throughput\",\n");
-    let _ = write!(report, "  \"cpus_available\": {cpus},\n  \"baseline\": \"single-threaded parse + one-shot XseedSynopsis::estimate per query (pre-service client)\",\n  \"note\": \"service_batch sends the whole workload as one BATCH through a 2-worker service, which runs it on the calling thread. Its wins over the baseline come from the plan cache, the per-snapshot compiled-query cache, snapshot sharing, and the frontier memo\",\n  \"datasets\": {{\n");
+    let _ = write!(report, "  \"cpus_available\": {cpus},\n  \"baseline\": \"single-threaded parse + one-shot XseedSynopsis::estimate per query (pre-service client)\",\n  \"note\": \"service_batch sends the whole workload as one BATCH through a 2-worker service, which runs it on the calling thread. After the untimed warm-up pass every query is a repeat, answered from its compiled entry: no parse, no compile, no replay. Its wins over the baseline come from the plan cache, the per-snapshot compiled-query cache and the answers it keeps, snapshot sharing, and the frontier memo\",\n  \"datasets\": {{\n");
 
     // Criterion-visible spot check: one-shot service estimate latency
     // (skipped in smoke mode — the measured passes below already cover
@@ -624,8 +626,8 @@ fn concurrent_benches(c: &mut Criterion) {
 
         // Compiled-plan cache on/off over the full workload: same batched
         // snapshot pass (shared frontier memo), the only difference being
-        // whether each estimate recompiles its query or reuses the cached
-        // compilation.
+        // whether each estimate recompiles and replays its query or reads
+        // the cached compilation's answer.
         let (cached_on_ns, cached_off_ns) = {
             let (_, texts) = scenario.workloads.last().expect("ALL workload");
             let exprs: Vec<PathExpr> = texts
@@ -667,7 +669,7 @@ fn concurrent_benches(c: &mut Criterion) {
         let _ = write!(
             report,
             "      }},\n      \"compiled_plan_cache\": {{\n        \
-             \"comparison\": \"one batched snapshot pass over the ALL workload; off = compile per estimate, on = estimate_plan via the per-snapshot compiled cache (warm)\",\n        \
+             \"comparison\": \"one batched snapshot pass over the ALL workload; off = compile and replay per estimate (estimate by expression), on = estimate_plan via the per-snapshot compiled cache (warm: every estimate repeats a plan and is answered from its compiled entry, without a replay)\",\n        \
              \"off\": {},\n        \"on\": {},\n        \
              \"savings_ns_per_estimate\": {:.1},\n        \"speedup\": {:.3}\n      }},\n",
             json_throughput_entry(cached_off_ns),

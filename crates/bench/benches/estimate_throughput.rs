@@ -2,8 +2,11 @@
 //! matcher — a one-off `XseedSynopsis::estimate()` per query, and one
 //! `SynopsisSnapshot::matcher()` reused across the workload.
 //!
-//! Both replay the snapshot's frontier memo; the reused matcher also
-//! keeps its scratch buffers warm. This bench measures estimates/sec for
+//! Both estimate by expression, so every estimate compiles its query and
+//! replays the snapshot's frontier memo; the reused matcher also keeps
+//! its scratch buffers warm. Served repeats (`estimate_plan` through the
+//! snapshot's compiled-query cache) read a stored answer instead, so
+//! these rows are the in-process record of compile plus replay. This bench measures estimates/sec for
 //! both on an XMark workload and a recursive Treebank-style workload,
 //! and records the results (with the CPU count) in
 //! `BENCH_estimate_throughput.json` at the workspace root.

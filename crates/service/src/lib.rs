@@ -22,7 +22,8 @@
 //! * [`service`] — the [`Service`] front end: estimates, single or
 //!   batched, run on the calling thread over catalog snapshots, one
 //!   matcher per request replaying the snapshot's shared frontier memo
-//!   (the traveler's expansion recorded once per epoch), under one
+//!   (the traveler's expansion recorded once per epoch) or reading a
+//!   repeated plan's stored answer, under one
 //!   **bounded** admission budget that sheds excess load with
 //!   [`ServiceError::Overloaded`]; a maintenance thread rebuilds HETs
 //!   that feedback has marked due.
@@ -84,8 +85,10 @@
 //! rather than an unbounded backlog — and then runs on the calling
 //! thread, which waits for the answer anyway. On the hot path, a
 //! plan-cache hit also hits the snapshot's compiled-query cache,
-//! skipping label resolution; epoch bumps invalidate it for free because
-//! a new snapshot starts with a new cache.
+//! skipping label resolution, and a plan already estimated on the
+//! snapshot reads the answer stored in its compiled entry, skipping the
+//! replay; epoch bumps invalidate both for free because a new snapshot
+//! starts with a new cache.
 //!
 //! ## Quick example
 //!
