@@ -89,12 +89,10 @@
 //!
 //! ## Repeats
 //!
-//! An estimate is a pure function of the snapshot and the query, so a
-//! [`CompiledQuery`] held by the snapshot's [`CompiledPlanCache`] keeps
-//! the point estimate and raw bound that its first plan estimate
-//! computed, and later plan estimates read them instead of replaying.
-//! The expression entry points ([`StreamingMatcher::estimate`],
-//! [`StreamingMatcher::estimate_bound`],
+//! A [`CompiledQuery`] held by the snapshot's [`CompiledPlanCache`] keeps
+//! the answers its first plan estimate computed, so a repeated plan does
+//! not replay (see [`CompiledQuery`]). The expression entry points
+//! ([`StreamingMatcher::estimate`], [`StreamingMatcher::estimate_bound`],
 //! [`StreamingMatcher::estimate_with_stats`]) compile fresh and always
 //! replay.
 //!
