@@ -15,7 +15,22 @@
 //! The example from the paper: after pushing `a, b, b, c, c, b`, stacks 1,
 //! 2 and 3 are non-empty (`[a,b,c]`, `[b,c]`, `[b]`), so the recursion
 //! level of the path is 2.
+//!
+//! Two implementations share these semantics:
+//!
+//! * [`FlatCounterStacks`] keys the counts by dense [`VertexId`] in flat
+//!   arrays and keeps only each stack's height. Kernel construction,
+//!   incremental update and the frontier-memo walk use it: a push or pop
+//!   touches two array cells and never hashes or allocates once the
+//!   arrays have grown to the path's depth and the vertex count.
+//! * [`CounterStacks`] follows the figure literally (a hash table of
+//!   counts and one stack of items per occurrence level) over any
+//!   hashable item. The materialized-EPT [`Traveler`] oracle walks with
+//!   it, and the flat tracker is tested against it.
+//!
+//! [`Traveler`]: crate::estimate::Traveler
 
+use crate::kernel::VertexId;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -126,9 +141,102 @@ impl<T: Eq + Hash + Clone> CounterStacks<T> {
     }
 }
 
+/// [`CounterStacks`] over dense vertex ids, held in two flat arrays.
+///
+/// Items at one occurrence level are interchangeable, so only the height
+/// of each stack matters: `heights[k]` is the number of vertices that
+/// occur at least `k` times on the path (the paper's stack `k`), and the
+/// recursion level is the highest non-empty `k` minus one. The arrays
+/// grow on demand, so vertex ids may be created while the path is open.
+#[derive(Debug, Clone, Default)]
+pub struct FlatCounterStacks {
+    /// Occurrences of each vertex on the path, indexed by [`VertexId`].
+    counts: Vec<u32>,
+    /// Stack heights, indexed by occurrence count (`heights[0]` unused).
+    heights: Vec<u32>,
+    /// Number of non-empty stacks (the largest occurrence count).
+    non_empty: usize,
+}
+
+impl FlatCounterStacks {
+    /// Creates an empty tracker with room for vertex ids below
+    /// `vertex_count`.
+    pub fn with_vertices(vertex_count: usize) -> Self {
+        FlatCounterStacks {
+            counts: vec![0; vertex_count],
+            ..Self::default()
+        }
+    }
+
+    /// Empties the path, keeping the arrays' capacity.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        self.heights.clear();
+        self.non_empty = 0;
+    }
+
+    /// Pushes `v` onto the path and returns the recursion level of the
+    /// path *including* it.
+    #[inline]
+    pub fn push(&mut self, v: VertexId) -> usize {
+        let i = v.index();
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        let occurrence = self.counts[i] as usize;
+        if self.heights.len() <= occurrence {
+            self.heights.resize(occurrence + 1, 0);
+        }
+        self.heights[occurrence] += 1;
+        self.non_empty = self.non_empty.max(occurrence);
+        self.recursion_level()
+    }
+
+    /// Returns the recursion level the path *would* have if `v` were
+    /// pushed, without modifying the tracker.
+    #[inline]
+    pub fn peek_push(&self, v: VertexId) -> usize {
+        (self.occurrences(v) + 1).max(self.non_empty) - 1
+    }
+
+    /// Pops one occurrence of `v` from the path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not currently on the path.
+    #[inline]
+    pub fn pop(&mut self, v: VertexId) {
+        let count = match self.counts.get_mut(v.index()) {
+            Some(count) if *count > 0 => count,
+            _ => panic!("pop of an item that is not on the path"),
+        };
+        let occurrence = *count as usize;
+        *count -= 1;
+        self.heights[occurrence] -= 1;
+        while self.non_empty > 0 && self.heights[self.non_empty] == 0 {
+            self.non_empty -= 1;
+        }
+    }
+
+    /// Recursion level of the current path: number of non-empty stacks
+    /// minus one, or 0 for an empty path.
+    #[inline]
+    pub fn recursion_level(&self) -> usize {
+        self.non_empty.saturating_sub(1)
+    }
+
+    /// Current occurrence count of `v` on the path.
+    #[inline]
+    pub fn occurrences(&self, v: VertexId) -> usize {
+        self.counts.get(v.index()).map_or(0, |&c| c as usize)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_figure3_example() {
@@ -229,5 +337,70 @@ mod tests {
         assert_eq!(cs.len(), 0);
         assert!(cs.is_empty());
         assert_eq!(cs.occurrences(&5), 0);
+    }
+    #[test]
+    fn flat_paper_figure3_example() {
+        let mut cs = FlatCounterStacks::default();
+        for v in [0, 1, 1, 2, 2, 1] {
+            cs.push(VertexId(v));
+        }
+        assert_eq!(cs.recursion_level(), 2);
+        assert_eq!(cs.occurrences(VertexId(1)), 3);
+        assert_eq!(cs.occurrences(VertexId(9)), 0);
+        assert_eq!(cs.peek_push(VertexId(1)), 3);
+        cs.clear();
+        assert_eq!(cs.recursion_level(), 0);
+        assert_eq!(cs.occurrences(VertexId(1)), 0);
+        assert_eq!(cs.push(VertexId(2)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not on the path")]
+    fn flat_pop_missing_panics() {
+        let mut cs = FlatCounterStacks::with_vertices(4);
+        cs.push(VertexId(1));
+        cs.pop(VertexId(2));
+    }
+
+    /// Replays `ops` on both trackers: `(v, true)` pushes vertex `v`,
+    /// `(v, false)` pops the most recently pushed vertex when the path is
+    /// non-empty (pushes and pops mirror a tree walk), and `v` is only
+    /// peeked. Every returned and peeked level, and the final state (the
+    /// level and each vertex's occurrence count), must agree.
+    fn check_against_reference(ops: &[(u32, bool)]) -> Result<(), TestCaseError> {
+        let mut flat = FlatCounterStacks::with_vertices(2);
+        let mut reference = CounterStacks::new();
+        let mut path = Vec::new();
+        for &(v, push) in ops {
+            let v = VertexId(v);
+            prop_assert_eq!(flat.peek_push(v), reference.peek_push(&v));
+            if push {
+                prop_assert_eq!(flat.push(v), reference.push(v));
+                path.push(v);
+            } else if let Some(top) = path.pop() {
+                flat.pop(top);
+                reference.pop(&top);
+            }
+            prop_assert_eq!(flat.recursion_level(), reference.recursion_level());
+        }
+        for v in 0..8 {
+            let v = VertexId(v);
+            prop_assert_eq!(flat.occurrences(v), reference.occurrences(&v));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat tracker reproduces the reference on random push/pop
+        /// sequences over a few dense ids (few ids make deep recursion
+        /// likely).
+        #[test]
+        fn flat_tracker_matches_counter_stacks(
+            ops in prop::collection::vec((0u32..8, prop::bool::ANY), 0..300),
+        ) {
+            check_against_reference(&ops)?;
+        }
     }
 }

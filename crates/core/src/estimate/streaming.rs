@@ -14,8 +14,9 @@
 //! [`FrontierMemo::build`] is the one production walker of Algorithm 2:
 //! the traveler's depth-first walk (same child order, same
 //! effective-`card_threshold` / Observation-1 stopping rules, same
-//! per-path HET overrides), inlined over the frozen CSR arrays with a
-//! flat-array recursion tracker. It records every opened position in
+//! per-path HET overrides), inlined over the frozen CSR arrays with the
+//! flat-array recursion tracker ([`FlatCounterStacks`]) that kernel
+//! construction also uses. It records every opened position in
 //! pre-order with its footprint (card / fsel / bsel / path hash) and
 //! subtree extent. A walk that records more than
 //! [`max_ept_nodes`](XseedConfig::max_ept_nodes) positions stops and
@@ -101,6 +102,7 @@
 //! contract.
 
 use crate::config::{escalate_card_threshold, XseedConfig};
+use crate::counter_stacks::FlatCounterStacks;
 use crate::het::hash::{correlated_key, inc_hash, PATH_HASH_SEED};
 use crate::het::table::HyperEdgeTable;
 use crate::kernel::{FrozenKernel, VertexId};
@@ -378,9 +380,7 @@ impl FrontierMemo {
         let mut walk = ExpansionWalk {
             frozen,
             het,
-            rec_counts: vec![0; frozen.vertex_count()],
-            rec_occ: Vec::new(),
-            rec_max: 0,
+            recursion: FlatCounterStacks::with_vertices(frozen.vertex_count()),
         };
         let mut nodes = Vec::new();
         let mut threshold = config.card_threshold;
@@ -428,13 +428,11 @@ impl FrontierMemo {
 }
 
 /// The state of one [`FrontierMemo::build`] walk: the snapshot it expands
-/// and the recursion tracker (Figure 3 semantics over flat arrays).
+/// and the recursion tracker.
 struct ExpansionWalk<'a> {
     frozen: &'a FrozenKernel,
     het: Option<&'a HyperEdgeTable>,
-    rec_counts: Vec<u32>,
-    rec_occ: Vec<u32>,
-    rec_max: usize,
+    recursion: FlatCounterStacks,
 }
 
 impl ExpansionWalk<'_> {
@@ -445,9 +443,7 @@ impl ExpansionWalk<'_> {
     /// e.g. a negative threshold keeping cardinality-0 cycles open.
     fn record(&mut self, threshold: f64, cap: usize, nodes: &mut Vec<MemoNode>) -> bool {
         nodes.clear();
-        self.rec_counts.fill(0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
+        self.recursion.clear();
         let Some(root) = self.frozen.root() else {
             return true;
         };
@@ -469,7 +465,7 @@ impl ExpansionWalk<'_> {
                 let end = nodes.len() as u32;
                 let node = &mut nodes[done.node as usize];
                 node.subtree_end = end;
-                self.rec_pop(node.vertex);
+                self.recursion.pop(node.vertex);
                 continue;
             }
             let slot = top.next_slot as usize;
@@ -489,7 +485,7 @@ impl ExpansionWalk<'_> {
     /// Records `node` as the next position in pre-order and enters its
     /// vertex in the recursion tracker.
     fn open(&mut self, node: MemoNode, nodes: &mut Vec<MemoNode>) -> WalkFrame {
-        self.rec_push(node.vertex);
+        self.recursion.push(node.vertex);
         let slots = self.frozen.out_slots(node.vertex);
         nodes.push(node);
         WalkFrame {
@@ -499,47 +495,13 @@ impl ExpansionWalk<'_> {
         }
     }
 
-    #[inline]
-    fn rec_level(&self) -> usize {
-        self.rec_max.saturating_sub(1)
-    }
-
-    #[inline]
-    fn rec_peek_push(&self, v: VertexId) -> usize {
-        let occurrence = self.rec_counts[v.index()] as usize + 1;
-        occurrence.max(self.rec_max) - 1
-    }
-
-    fn rec_push(&mut self, v: VertexId) {
-        let count = &mut self.rec_counts[v.index()];
-        *count += 1;
-        let c = *count as usize;
-        if self.rec_occ.len() <= c {
-            self.rec_occ.resize(c + 1, 0);
-        }
-        self.rec_occ[c] += 1;
-        if c > self.rec_max {
-            self.rec_max = c;
-        }
-    }
-
-    fn rec_pop(&mut self, v: VertexId) {
-        let count = &mut self.rec_counts[v.index()];
-        let c = *count as usize;
-        *count -= 1;
-        self.rec_occ[c] -= 1;
-        while self.rec_max > 0 && self.rec_occ[self.rec_max] == 0 {
-            self.rec_max -= 1;
-        }
-    }
-
     /// The traveler's `EST`: the position reached from `parent` through
     /// `slot`, or `None` when traversal stops there (threshold or
     /// Observation 1).
     fn child_footprint(&self, parent: &MemoNode, slot: usize, threshold: f64) -> Option<MemoNode> {
         let child = self.frozen.slot_target(slot);
-        let old_level = self.rec_level();
-        let new_level = self.rec_peek_push(child);
+        let old_level = self.recursion.recursion_level();
+        let new_level = self.recursion.peek_push(child);
         let path_hash = inc_hash(parent.path_hash, self.frozen.label(child));
 
         let (mut card, mut bsel) = if new_level < self.frozen.slot_levels(slot) {

@@ -5,30 +5,38 @@
 //! maintains:
 //!
 //! * `path_stack`: one entry per currently open element, holding the
-//!   kernel vertex it maps to and the set of `(edge, recursion level)`
-//!   pairs of its children observed so far (used to increment parent
-//!   counts exactly once per parent element when it closes), and
-//! * `rl_counter`: the counter-stacks structure giving the recursion level
-//!   of the current rooted path in O(1).
+//!   kernel vertex it maps to and where its run starts in `child_pairs`;
+//! * `child_pairs`: one shared stack of the distinct `(edge, recursion
+//!   level)` pairs of each open element's children observed so far, one
+//!   contiguous run per open element with the innermost on top (used to
+//!   increment parent counts exactly once per parent element when it
+//!   closes), and
+//! * `recursion`: the counter stacks giving the recursion level of the
+//!   current rooted path in O(1).
+//!
+//! Once the stacks have grown to the document's depth and the kernel
+//! holds each name and edge, an element costs two hash lookups (its name
+//! and its edge) and allocates nothing.
 
 use super::graph::{EdgeId, Kernel, VertexId};
-use crate::counter_stacks::CounterStacks;
+use crate::counter_stacks::FlatCounterStacks;
 use xmlkit::sax::{SaxEvent, SaxParser};
-use xmlkit::tree::{Document, NodeId};
+use xmlkit::tree::{Children, Document, NodeId};
 
 /// Streaming builder for the XSEED kernel.
 #[derive(Debug, Default)]
 pub struct KernelBuilder {
     kernel: Kernel,
     path_stack: Vec<OpenElement>,
-    rl_counter: CounterStacks<VertexId>,
+    child_pairs: Vec<(EdgeId, usize)>,
+    recursion: FlatCounterStacks,
 }
 
 #[derive(Debug)]
 struct OpenElement {
     vertex: VertexId,
-    /// Distinct `(edge, recursion level)` pairs of this element's children.
-    child_edges: Vec<(EdgeId, usize)>,
+    /// Start of this element's run of child pairs in `child_pairs`.
+    first_pair: usize,
 }
 
 impl KernelBuilder {
@@ -41,30 +49,28 @@ impl KernelBuilder {
     pub fn open_element(&mut self, name: &str) {
         let v = self.kernel.get_or_create_vertex(name);
         self.kernel.add_elements(1);
-        if self.path_stack.is_empty() {
-            self.rl_counter.push(v);
-            if self.kernel.root().is_none() {
-                self.kernel.set_root(v);
+        match self.path_stack.last() {
+            None => {
+                self.recursion.push(v);
+                if self.kernel.root().is_none() {
+                    self.kernel.set_root(v);
+                }
             }
-            self.path_stack.push(OpenElement {
-                vertex: v,
-                child_edges: Vec::new(),
-            });
-        } else {
-            let parent = self.path_stack.last().expect("stack checked non-empty");
-            let u = parent.vertex;
-            let e = self.kernel.get_or_create_edge(u, v);
-            let level = self.rl_counter.push(v);
-            self.kernel.edge_label_mut(e).add_child(level, 1);
-            let parent = self.path_stack.last_mut().expect("stack checked non-empty");
-            if !parent.child_edges.contains(&(e, level)) {
-                parent.child_edges.push((e, level));
+            Some(parent) => {
+                let e = self.kernel.get_or_create_edge(parent.vertex, v);
+                let level = self.recursion.push(v);
+                self.kernel.edge_label_mut(e).add_child(level, 1);
+                // The parent's run is the top of the shared stack: every
+                // earlier sibling has closed and truncated its own run.
+                if !self.child_pairs[parent.first_pair..].contains(&(e, level)) {
+                    self.child_pairs.push((e, level));
+                }
             }
-            self.path_stack.push(OpenElement {
-                vertex: v,
-                child_edges: Vec::new(),
-            });
         }
+        self.path_stack.push(OpenElement {
+            vertex: v,
+            first_pair: self.child_pairs.len(),
+        });
     }
 
     /// Processes a closing tag (Algorithm 1, lines 16–20).
@@ -73,10 +79,11 @@ impl KernelBuilder {
             .path_stack
             .pop()
             .expect("close_element without a matching open_element");
-        for (e, level) in closed.child_edges {
+        for &(e, level) in &self.child_pairs[closed.first_pair..] {
             self.kernel.edge_label_mut(e).add_parent(level, 1);
         }
-        self.rl_counter.pop(&closed.vertex);
+        self.child_pairs.truncate(closed.first_pair);
+        self.recursion.pop(closed.vertex);
     }
 
     /// Current element nesting depth.
@@ -120,33 +127,30 @@ impl KernelBuilder {
             self.path_stack.len()
         );
         let root = self.path_stack.pop().expect("length checked above");
-        self.rl_counter.pop(&root.vertex);
+        self.recursion.pop(root.vertex);
         PartialKernel {
             kernel: self.kernel,
-            root_child_edges: root.child_edges,
+            root_child_edges: self.child_pairs.split_off(root.first_pair),
         }
     }
 
-    /// Drives the builder over the subtree rooted at `n` with an explicit
-    /// Enter/Leave stack (children pushed reversed, so subtrees are
-    /// visited in document order).
-    fn drive_subtree(&mut self, doc: &Document, n: NodeId) {
-        enum Step {
-            Enter(NodeId),
-            Leave,
-        }
-        let mut stack = vec![Step::Enter(n)];
-        while let Some(step) = stack.pop() {
-            match step {
-                Step::Enter(n) => {
-                    self.open_element(doc.name(n));
-                    stack.push(Step::Leave);
-                    let children: Vec<NodeId> = doc.children(n).collect();
-                    for c in children.into_iter().rev() {
-                        stack.push(Step::Enter(c));
-                    }
+    /// Drives the builder over the subtree rooted at `n`, in document
+    /// order, with one child iterator per open element on `stack` (scratch
+    /// space, empty on entry and on return), so no node's children are
+    /// collected.
+    fn drive_subtree<'d>(&mut self, doc: &'d Document, n: NodeId, stack: &mut Vec<Children<'d>>) {
+        self.open_element(doc.name(n));
+        stack.push(doc.children(n));
+        while let Some(children) = stack.last_mut() {
+            match children.next() {
+                Some(c) => {
+                    self.open_element(doc.name(c));
+                    stack.push(doc.children(c));
                 }
-                Step::Leave => self.close_element(),
+                None => {
+                    stack.pop();
+                    self.close_element();
+                }
             }
         }
     }
@@ -154,7 +158,7 @@ impl KernelBuilder {
     /// Builds a kernel directly from an in-memory document.
     pub fn from_document(doc: &Document) -> Kernel {
         let mut builder = KernelBuilder::new();
-        builder.drive_subtree(doc, doc.root());
+        builder.drive_subtree(doc, doc.root(), &mut Vec::new());
         builder.finish()
     }
 
@@ -164,16 +168,25 @@ impl KernelBuilder {
     /// path — and therefore every recursion level — is identical to the
     /// monolithic build, which is what makes partition merging
     /// bit-compatible (see [`crate::partition::merge_partials`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within the root's children.
     pub fn from_document_root_range(
         doc: &Document,
         range: std::ops::Range<usize>,
     ) -> PartialKernel {
-        let mut builder = KernelBuilder::new();
         let root = doc.root();
+        let child_count = doc.child_count(root);
+        assert!(
+            range.start <= range.end && range.end <= child_count,
+            "root child range {range:?} out of bounds for {child_count} children"
+        );
+        let mut builder = KernelBuilder::new();
         builder.open_element(doc.name(root));
-        let children: Vec<NodeId> = doc.children(root).collect();
-        for &c in &children[range] {
-            builder.drive_subtree(doc, c);
+        let mut stack = Vec::new();
+        for c in doc.children(root).skip(range.start).take(range.len()) {
+            builder.drive_subtree(doc, c, &mut stack);
         }
         builder.finish_suspended()
     }
@@ -185,7 +198,7 @@ impl KernelBuilder {
         let mut parser = SaxParser::new(xml);
         loop {
             match parser.next_event()? {
-                SaxEvent::StartElement { name, .. } => builder.open_element(&name),
+                SaxEvent::StartElement { name, .. } => builder.open_element(name),
                 SaxEvent::EndElement { .. } => builder.close_element(),
                 SaxEvent::Text(_)
                 | SaxEvent::Comment(_)
@@ -235,6 +248,7 @@ impl PartialKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datagen::Dataset;
     use xmlkit::samples::{figure2_document, FIGURE2_XML};
 
     fn pairs(kernel: &Kernel, from: &str, to: &str) -> Vec<(u64, u64)> {
@@ -268,6 +282,23 @@ mod tests {
         assert_eq!(kernel.name(kernel.root().unwrap()), "a");
     }
 
+    /// Asserts that `b` has `a`'s element names, shape and text sizes: a
+    /// preorder listing of (name, child count, text bytes) fixes all three.
+    fn assert_same_tree(a: &Document, b: &Document, what: &str) {
+        let listing = |d: &Document| -> Vec<(String, usize, u32)> {
+            d.preorder()
+                .map(|n| {
+                    (
+                        d.name(n).to_string(),
+                        d.child_count(n),
+                        d.node(n).text_bytes,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(listing(a), listing(b), "{what}: reparsed tree differs");
+    }
+
     #[test]
     fn sax_and_document_construction_agree() {
         let from_doc = KernelBuilder::from_document(&figure2_document());
@@ -276,6 +307,42 @@ mod tests {
         assert_eq!(from_doc.live_edge_count(), from_sax.live_edge_count());
         assert_eq!(from_doc.element_count(), from_sax.element_count());
         assert_eq!(from_doc.to_string(), from_sax.to_string());
+        assert_eq!(from_doc.serialize(), from_sax.serialize());
+
+        // One dataset per generator, at a small scale: the XML path, the
+        // tree path and a partitioned build over the full root-child
+        // range must produce the same kernel bytes, and parsing the XML
+        // must reproduce the generated tree.
+        for dataset in [
+            Dataset::Dblp,
+            Dataset::XMark10,
+            Dataset::SwissProt,
+            Dataset::Tpch,
+            Dataset::XBench,
+            Dataset::TreebankSmall,
+        ] {
+            let what = dataset.paper_name();
+            let doc = dataset.generate_scaled(0.05);
+            let xml = xmlkit::writer::to_string(&doc);
+            let bytes = KernelBuilder::from_document(&doc).serialize();
+            let from_xml = KernelBuilder::from_xml_str(&xml).unwrap();
+            assert_eq!(from_xml.serialize(), bytes, "{what}: XML path differs");
+            let children = doc.child_count(doc.root());
+            let merged = KernelBuilder::from_document_root_range(&doc, 0..children).into_kernel();
+            assert_eq!(
+                merged.serialize(),
+                bytes,
+                "{what}: full-range partial differs"
+            );
+            assert_same_tree(&doc, &Document::parse_str(&xml).unwrap(), what);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn root_range_past_the_children_panics() {
+        let doc = figure2_document();
+        KernelBuilder::from_document_root_range(&doc, 0..5);
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub struct Edge {
 #[derive(Debug, Clone, Default)]
 pub struct Kernel {
     names: NameTable,
-    vertex_by_label: HashMap<LabelId, VertexId>,
+    /// The vertex of each interned name, indexed by [`LabelId`]: a name
+    /// is interned only when its vertex is created, so the table is dense.
+    vertex_by_label: Vec<VertexId>,
     vertices: Vec<Vertex>,
     edges: Vec<Edge>,
     edge_index: HashMap<(VertexId, VertexId), EdgeId>,
@@ -78,7 +80,7 @@ impl Kernel {
     /// if necessary. This is the paper's `GET-VERTEX`.
     pub fn get_or_create_vertex(&mut self, name: &str) -> VertexId {
         let label = self.names.intern(name);
-        if let Some(&v) = self.vertex_by_label.get(&label) {
+        if let Some(&v) = self.vertex_by_label.get(label.index()) {
             return v;
         }
         let v = VertexId(self.vertices.len() as u32);
@@ -87,7 +89,8 @@ impl Kernel {
             out_edges: Vec::new(),
             in_edges: Vec::new(),
         });
-        self.vertex_by_label.insert(label, v);
+        debug_assert_eq!(label.index(), self.vertex_by_label.len());
+        self.vertex_by_label.push(v);
         v
     }
 
@@ -162,12 +165,12 @@ impl Kernel {
     /// The vertex for an element name, if present.
     pub fn vertex_by_name(&self, name: &str) -> Option<VertexId> {
         let label = self.names.lookup(name)?;
-        self.vertex_by_label.get(&label).copied()
+        self.vertex_by_label(label)
     }
 
     /// The vertex for a label id, if present.
     pub fn vertex_by_label(&self, label: LabelId) -> Option<VertexId> {
-        self.vertex_by_label.get(&label).copied()
+        self.vertex_by_label.get(label.index()).copied()
     }
 
     /// The label id of a vertex.

@@ -15,7 +15,7 @@
 
 use super::builder::KernelBuilder;
 use super::graph::{Kernel, VertexId};
-use crate::counter_stacks::CounterStacks;
+use crate::counter_stacks::FlatCounterStacks;
 use xmlkit::tree::{Document, NodeId};
 
 /// Errors from incremental updates.
@@ -90,7 +90,7 @@ impl Kernel {
         // Seed the recursion-level counter with the context path. Context
         // vertices must already exist: you cannot attach a subtree under a
         // path the document does not have.
-        let mut rl: CounterStacks<VertexId> = CounterStacks::new();
+        let mut rl = FlatCounterStacks::default();
         let mut context_vertices = Vec::with_capacity(context_path.len());
         for name in context_path {
             let v = self
@@ -156,7 +156,7 @@ impl Kernel {
                             self.edge_label_mut(e).remove_parent(level, 1);
                         }
                     }
-                    rl.pop(&frame.vertex);
+                    rl.pop(frame.vertex);
                 }
             }
         }

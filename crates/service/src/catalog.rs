@@ -800,6 +800,7 @@ impl Catalog {
         path: &std::path::Path,
         max_documents: Option<usize>,
     ) -> Result<(SynopsisSnapshot, bool), SnapshotError> {
+        crate::persist::ensure_regular_file(path)?;
         let bytes = std::fs::read(path)?;
         self.install_snapshot(name, &bytes, max_documents)
     }

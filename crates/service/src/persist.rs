@@ -11,7 +11,9 @@
 //!   files, register every snapshot that decodes, and **quarantine**
 //!   (rename to `<file>.corrupt`, log, count) every one that doesn't.
 //!   Graceful degradation by construction: a corrupt snapshot can cost at
-//!   most itself, never the boot.
+//!   most itself, never the boot;
+//! * `ensure_regular_file` — the check every file read (path `LOAD`,
+//!   `LOAD … file:`, warm start) makes before it opens anything.
 
 use crate::catalog::Catalog;
 use std::fs;
@@ -50,6 +52,21 @@ pub fn write_snapshot_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Refuses anything at `path` but a regular file (symlinks followed),
+/// before anything opens it: reading a device such as `/dev/zero` never
+/// ends, opening a FIFO blocks until a writer appears, and either would
+/// hold the caller (the daemon's event loop) indefinitely.
+pub(crate) fn ensure_regular_file(path: &Path) -> io::Result<()> {
+    if fs::metadata(path)?.is_file() {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file",
+        ))
+    }
 }
 
 /// What a [`warm_start`] scan found.

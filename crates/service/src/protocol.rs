@@ -305,7 +305,10 @@ fn handle_load(service: &Service, args: &str, options: &ProtocolOptions) -> Resp
                  or start the server with --allow-fs-load)",
             );
         }
-        let xml = match std::fs::read_to_string(spec) {
+        let path = std::path::Path::new(spec);
+        let read =
+            crate::persist::ensure_regular_file(path).and_then(|()| std::fs::read_to_string(path));
+        let xml = match read {
             Ok(xml) => xml,
             Err(e) => return Response::err(format_args!("cannot read '{spec}': {e}")),
         };
@@ -1177,6 +1180,33 @@ mod tests {
         assert!(stats.contains("persist_load_failures=1"), "{stats}");
         assert!(stats.contains("quarantined=0"), "{stats}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fs_loads_refuse_anything_but_a_regular_file() {
+        // A device would be read forever and a directory cannot be read:
+        // both path forms must answer one ERR before opening the file.
+        let service = service();
+        let dir = std::env::temp_dir();
+        let dir = dir.display();
+        for (spec, prefix) in [
+            ("/dev/zero".to_string(), "ERR cannot read '/dev/zero'"),
+            (format!("{dir} retain"), "ERR cannot read '"),
+            (format!("{dir}"), "ERR cannot read '"),
+            (
+                "file:/dev/zero".to_string(),
+                "ERR cannot load snapshot '/dev/zero'",
+            ),
+            (format!("file:{dir}"), "ERR cannot load snapshot '"),
+        ] {
+            let got = reply(&service, &format!("LOAD x {spec}"));
+            assert!(got.starts_with(prefix), "LOAD x {spec}: {got}");
+            assert!(
+                got.ends_with(": not a regular file"),
+                "LOAD x {spec}: {got}"
+            );
+        }
+        assert!(reply(&service, "EST x /a").starts_with("ERR unknown document"));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! processing stack, implemented from scratch:
 //!
 //! * [`sax`] — a streaming, event-driven (SAX-style) pull parser over XML
-//!   text. The XSEED kernel is constructed directly from this event stream
-//!   (Algorithm 1 of the paper), so the parser is the foundation of the
-//!   whole pipeline.
+//!   text whose events borrow from the input. The XSEED kernel is
+//!   constructed directly from this event stream (Algorithm 1 of the
+//!   paper), so the parser is the foundation of the whole pipeline.
 //! * [`tree`] — an arena-backed in-memory XML document tree
 //!   ([`tree::Document`]). The exact evaluator (NoK), the path tree, and
 //!   the TreeSketch baseline all operate on this representation.

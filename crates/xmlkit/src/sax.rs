@@ -21,46 +21,50 @@
 //! "closing tag" events to build the XSEED kernel in a single pass.
 
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 
 /// A single attribute on an element start tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute {
+pub struct Attribute<'a> {
     /// Attribute name as written in the document.
-    pub name: String,
-    /// Attribute value with entity references resolved.
-    pub value: String,
+    pub name: &'a str,
+    /// Attribute value with entity references resolved: borrowed from
+    /// the input unless it contains a `&`.
+    pub value: Cow<'a, str>,
 }
 
-/// Events produced by [`SaxParser`].
+/// Events produced by [`SaxParser`]. Every name and payload borrows from
+/// the parser's input; only text and attribute values that contain an
+/// entity reference are decoded into an owned string.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SaxEvent {
+pub enum SaxEvent<'a> {
     /// An element start tag (`<name ...>`), or the opening half of a
     /// self-closing tag. For self-closing tags the parser emits
     /// `StartElement` immediately followed by `EndElement`.
     StartElement {
         /// Element name.
-        name: String,
+        name: &'a str,
         /// Attributes in document order.
-        attributes: Vec<Attribute>,
+        attributes: Vec<Attribute<'a>>,
     },
     /// An element end tag (`</name>`), or the closing half of a
     /// self-closing tag.
     EndElement {
         /// Element name.
-        name: String,
+        name: &'a str,
     },
     /// Character data between tags, with entities resolved. Whitespace-only
     /// text is still reported; callers that do not care simply ignore it.
-    Text(String),
+    Text(Cow<'a, str>),
     /// A comment (`<!-- ... -->`); the payload excludes the delimiters.
-    Comment(String),
+    Comment(&'a str),
     /// A processing instruction (`<?target data?>`), excluding the XML
     /// declaration which is silently skipped.
     ProcessingInstruction {
         /// PI target.
-        target: String,
+        target: &'a str,
         /// PI data (possibly empty).
-        data: String,
+        data: &'a str,
     },
     /// End of input. Returned forever once reached.
     Eof,
@@ -79,25 +83,30 @@ enum DocState {
 
 /// A pull parser over a UTF-8 XML string.
 ///
+/// Events borrow from the input, so parsing allocates only for entity
+/// decoding, attribute lists, and the open-element stack as it deepens.
+/// Every cut the parser makes falls next to an ASCII delimiter, so each
+/// slice is valid UTF-8 without a check.
+///
 /// ```
 /// use xmlkit::sax::{SaxParser, SaxEvent};
 ///
 /// let mut p = SaxParser::new("<a><b x='1'/>hi</a>");
-/// assert!(matches!(p.next_event().unwrap(), SaxEvent::StartElement { name, .. } if name == "a"));
-/// assert!(matches!(p.next_event().unwrap(), SaxEvent::StartElement { name, .. } if name == "b"));
-/// assert!(matches!(p.next_event().unwrap(), SaxEvent::EndElement { name } if name == "b"));
+/// assert!(matches!(p.next_event().unwrap(), SaxEvent::StartElement { name: "a", .. }));
+/// assert!(matches!(p.next_event().unwrap(), SaxEvent::StartElement { name: "b", .. }));
+/// assert!(matches!(p.next_event().unwrap(), SaxEvent::EndElement { name: "b" }));
 /// assert!(matches!(p.next_event().unwrap(), SaxEvent::Text(t) if t == "hi"));
-/// assert!(matches!(p.next_event().unwrap(), SaxEvent::EndElement { name } if name == "a"));
+/// assert!(matches!(p.next_event().unwrap(), SaxEvent::EndElement { name: "a" }));
 /// assert!(matches!(p.next_event().unwrap(), SaxEvent::Eof));
 /// ```
 #[derive(Debug)]
 pub struct SaxParser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     /// Stack of currently open element names.
-    open: Vec<String>,
+    open: Vec<&'a str>,
     /// Pending end-element produced by a self-closing tag.
-    pending_end: Option<String>,
+    pending_end: Option<&'a str>,
     state: DocState,
     eof_reported: bool,
 }
@@ -106,7 +115,7 @@ impl<'a> SaxParser<'a> {
     /// Creates a parser over `input`.
     pub fn new(input: &'a str) -> Self {
         SaxParser {
-            input: input.as_bytes(),
+            input,
             pos: 0,
             open: Vec::new(),
             pending_end: None,
@@ -129,9 +138,9 @@ impl<'a> SaxParser<'a> {
     ///
     /// After [`SaxEvent::Eof`] has been returned it will be returned again
     /// on every subsequent call.
-    pub fn next_event(&mut self) -> Result<SaxEvent> {
+    pub fn next_event(&mut self) -> Result<SaxEvent<'a>> {
         if let Some(name) = self.pending_end.take() {
-            self.pop_open(&name)?;
+            self.pop_open(name)?;
             return Ok(SaxEvent::EndElement { name });
         }
         loop {
@@ -141,16 +150,12 @@ impl<'a> SaxParser<'a> {
             if self.peek() == b'<' {
                 return self.parse_markup();
             }
-            // Character data.
+            // Character data, up to the next '<' or the end of input.
             let start = self.pos;
-            while self.pos < self.input.len() && self.peek() != b'<' {
-                self.pos += 1;
-            }
-            let raw = &self.input[start..self.pos];
-            let text = decode_entities(std::str::from_utf8(raw).map_err(|_| Error::Syntax {
-                message: "invalid UTF-8 in text".into(),
-                offset: start,
-            })?);
+            self.pos = self.input[start..]
+                .find('<')
+                .map_or(self.input.len(), |i| start + i);
+            let text = decode_entities(&self.input[start..self.pos]);
             match self.state {
                 DocState::InRoot => return Ok(SaxEvent::Text(text)),
                 _ => {
@@ -170,7 +175,7 @@ impl<'a> SaxParser<'a> {
 
     /// Convenience: parse the entire input, collecting every event except
     /// `Eof` into a vector.
-    pub fn collect_events(mut self) -> Result<Vec<SaxEvent>> {
+    pub fn collect_events(mut self) -> Result<Vec<SaxEvent<'a>>> {
         let mut out = Vec::new();
         loop {
             let evt = self.next_event()?;
@@ -181,10 +186,10 @@ impl<'a> SaxParser<'a> {
         }
     }
 
-    fn handle_eof(&mut self) -> Result<SaxEvent> {
+    fn handle_eof(&mut self) -> Result<SaxEvent<'a>> {
         if !self.open.is_empty() {
             return Err(Error::UnexpectedEof {
-                open_elements: self.open.clone(),
+                open_elements: self.open.iter().map(|name| name.to_string()).collect(),
             });
         }
         if self.state == DocState::Prolog && !self.eof_reported {
@@ -196,44 +201,39 @@ impl<'a> SaxParser<'a> {
 
     #[inline]
     fn peek(&self) -> u8 {
-        self.input[self.pos]
+        self.input.as_bytes()[self.pos]
     }
 
     fn starts_with(&self, s: &[u8]) -> bool {
-        self.input[self.pos..].starts_with(s)
+        self.input.as_bytes()[self.pos..].starts_with(s)
     }
 
-    fn parse_markup(&mut self) -> Result<SaxEvent> {
+    /// Finds `delimiter` at or after byte `from` (a char boundary),
+    /// returning its absolute byte offset.
+    fn find_from(&self, from: usize, delimiter: &str) -> Option<usize> {
+        self.input[from..].find(delimiter).map(|i| from + i)
+    }
+
+    fn parse_markup(&mut self) -> Result<SaxEvent<'a>> {
         debug_assert_eq!(self.peek(), b'<');
-        if self.starts_with(b"<!--") {
-            return self.parse_comment();
+        match self.input.as_bytes().get(self.pos + 1) {
+            Some(b'/') => self.parse_end_tag(),
+            Some(b'?') => self.parse_pi(),
+            Some(b'!') if self.starts_with(b"<!--") => self.parse_comment(),
+            Some(b'!') if self.starts_with(b"<![CDATA[") => self.parse_cdata(),
+            Some(b'!') if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") => {
+                self.skip_doctype()?;
+                self.next_event()
+            }
+            _ => self.parse_start_tag(),
         }
-        if self.starts_with(b"<![CDATA[") {
-            return self.parse_cdata();
-        }
-        if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
-            self.skip_doctype()?;
-            return self.next_event();
-        }
-        if self.starts_with(b"<?") {
-            return self.parse_pi();
-        }
-        if self.starts_with(b"</") {
-            return self.parse_end_tag();
-        }
-        self.parse_start_tag()
     }
 
-    fn parse_comment(&mut self) -> Result<SaxEvent> {
+    fn parse_comment(&mut self) -> Result<SaxEvent<'a>> {
         let start = self.pos;
         self.pos += 4; // "<!--"
-        if let Some(end) = find(self.input, self.pos, b"-->") {
-            let body = std::str::from_utf8(&self.input[self.pos..end])
-                .map_err(|_| Error::Syntax {
-                    message: "invalid UTF-8 in comment".into(),
-                    offset: self.pos,
-                })?
-                .to_string();
+        if let Some(end) = self.find_from(self.pos, "-->") {
+            let body = &self.input[self.pos..end];
             self.pos = end + 3;
             Ok(SaxEvent::Comment(body))
         } else {
@@ -244,16 +244,11 @@ impl<'a> SaxParser<'a> {
         }
     }
 
-    fn parse_cdata(&mut self) -> Result<SaxEvent> {
+    fn parse_cdata(&mut self) -> Result<SaxEvent<'a>> {
         let start = self.pos;
         self.pos += 9; // "<![CDATA["
-        if let Some(end) = find(self.input, self.pos, b"]]>") {
-            let body = std::str::from_utf8(&self.input[self.pos..end])
-                .map_err(|_| Error::Syntax {
-                    message: "invalid UTF-8 in CDATA".into(),
-                    offset: self.pos,
-                })?
-                .to_string();
+        if let Some(end) = self.find_from(self.pos, "]]>") {
+            let body = &self.input[self.pos..end];
             self.pos = end + 3;
             if self.state != DocState::InRoot {
                 return Err(Error::Syntax {
@@ -261,7 +256,7 @@ impl<'a> SaxParser<'a> {
                     offset: start,
                 });
             }
-            Ok(SaxEvent::Text(body))
+            Ok(SaxEvent::Text(Cow::Borrowed(body)))
         } else {
             Err(Error::Syntax {
                 message: "unterminated CDATA section".into(),
@@ -293,19 +288,17 @@ impl<'a> SaxParser<'a> {
         })
     }
 
-    fn parse_pi(&mut self) -> Result<SaxEvent> {
+    fn parse_pi(&mut self) -> Result<SaxEvent<'a>> {
         let start = self.pos;
         self.pos += 2; // "<?"
-        let end = find(self.input, self.pos, b"?>").ok_or_else(|| Error::Syntax {
-            message: "unterminated processing instruction".into(),
-            offset: start,
-        })?;
-        let body = std::str::from_utf8(&self.input[self.pos..end]).map_err(|_| Error::Syntax {
-            message: "invalid UTF-8 in processing instruction".into(),
-            offset: self.pos,
-        })?;
+        let end = self
+            .find_from(self.pos, "?>")
+            .ok_or_else(|| Error::Syntax {
+                message: "unterminated processing instruction".into(),
+                offset: start,
+            })?;
+        let body = self.input[self.pos..end].trim();
         self.pos = end + 2;
-        let body = body.trim();
         let (target, data) = match body.find(char::is_whitespace) {
             Some(i) => (&body[..i], body[i..].trim_start()),
             None => (body, ""),
@@ -314,13 +307,10 @@ impl<'a> SaxParser<'a> {
             // XML declaration: skip entirely.
             return self.next_event();
         }
-        Ok(SaxEvent::ProcessingInstruction {
-            target: target.to_string(),
-            data: data.to_string(),
-        })
+        Ok(SaxEvent::ProcessingInstruction { target, data })
     }
 
-    fn parse_end_tag(&mut self) -> Result<SaxEvent> {
+    fn parse_end_tag(&mut self) -> Result<SaxEvent<'a>> {
         let start = self.pos;
         self.pos += 2; // "</"
         let name = self.read_name()?;
@@ -332,11 +322,11 @@ impl<'a> SaxParser<'a> {
             });
         }
         self.pos += 1;
-        self.pop_open(&name)?;
+        self.pop_open(name)?;
         Ok(SaxEvent::EndElement { name })
     }
 
-    fn parse_start_tag(&mut self) -> Result<SaxEvent> {
+    fn parse_start_tag(&mut self) -> Result<SaxEvent<'a>> {
         let start = self.pos;
         self.pos += 1; // "<"
         let name = self.read_name()?;
@@ -352,7 +342,7 @@ impl<'a> SaxParser<'a> {
             match self.peek() {
                 b'>' => {
                     self.pos += 1;
-                    self.push_open(name.clone(), start)?;
+                    self.push_open(name, start)?;
                     return Ok(SaxEvent::StartElement { name, attributes });
                 }
                 b'/' => {
@@ -363,8 +353,8 @@ impl<'a> SaxParser<'a> {
                         });
                     }
                     self.pos += 2;
-                    self.push_open(name.clone(), start)?;
-                    self.pending_end = Some(name.clone());
+                    self.push_open(name, start)?;
+                    self.pending_end = Some(name);
                     return Ok(SaxEvent::StartElement { name, attributes });
                 }
                 _ => {
@@ -375,7 +365,7 @@ impl<'a> SaxParser<'a> {
         }
     }
 
-    fn read_attribute(&mut self) -> Result<Attribute> {
+    fn read_attribute(&mut self) -> Result<Attribute<'a>> {
         let name = self.read_name()?;
         self.skip_whitespace();
         if self.pos >= self.input.len() || self.peek() != b'=' {
@@ -401,29 +391,25 @@ impl<'a> SaxParser<'a> {
         }
         self.pos += 1;
         let start = self.pos;
-        while self.pos < self.input.len() && self.peek() != quote {
-            self.pos += 1;
-        }
-        if self.pos >= self.input.len() {
+        let quote = if quote == b'"' { "\"" } else { "'" };
+        let Some(end) = self.find_from(start, quote) else {
+            self.pos = self.input.len();
             return Err(Error::Syntax {
                 message: "unterminated attribute value".into(),
                 offset: start,
             });
-        }
-        let raw = std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| Error::Syntax {
-            message: "invalid UTF-8 in attribute value".into(),
-            offset: start,
-        })?;
-        self.pos += 1; // closing quote
+        };
+        self.pos = end + 1; // past the closing quote
         Ok(Attribute {
             name,
-            value: decode_entities(raw),
+            value: decode_entities(&self.input[start..end]),
         })
     }
 
-    fn read_name(&mut self) -> Result<String> {
+    fn read_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
-        while self.pos < self.input.len() && is_name_byte(self.peek()) {
+        let bytes = self.input.as_bytes();
+        while self.pos < bytes.len() && is_name_byte(bytes[self.pos]) {
             self.pos += 1;
         }
         if self.pos == start {
@@ -432,21 +418,17 @@ impl<'a> SaxParser<'a> {
                 offset: start,
             });
         }
-        Ok(std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| Error::Syntax {
-                message: "invalid UTF-8 in name".into(),
-                offset: start,
-            })?
-            .to_string())
+        Ok(&self.input[start..self.pos])
     }
 
     fn skip_whitespace(&mut self) {
-        while self.pos < self.input.len() && self.peek().is_ascii_whitespace() {
+        let bytes = self.input.as_bytes();
+        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
-    fn push_open(&mut self, name: String, offset: usize) -> Result<()> {
+    fn push_open(&mut self, name: &'a str, offset: usize) -> Result<()> {
         match self.state {
             DocState::Prolog => {
                 self.state = DocState::InRoot;
@@ -469,7 +451,7 @@ impl<'a> SaxParser<'a> {
                 Ok(())
             }
             Some(expected) => Err(Error::MismatchedTag {
-                expected,
+                expected: expected.to_string(),
                 found: name.to_string(),
                 offset: self.pos,
             }),
@@ -481,30 +463,20 @@ impl<'a> SaxParser<'a> {
     }
 }
 
-/// Returns true for bytes allowed in (our subset of) XML names.
+/// Returns true for bytes allowed in (our subset of) XML names. All are
+/// ASCII, so a name ends on a char boundary.
 #[inline]
 fn is_name_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')
 }
 
-/// Finds `needle` in `haystack` starting at `from`, returning the index of
-/// the first match.
-fn find(haystack: &[u8], from: usize, needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || from >= haystack.len() {
-        return None;
-    }
-    haystack[from..]
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|i| i + from)
-}
-
 /// Resolves the predefined entities and numeric character references in
-/// `raw`. Unknown entities are passed through unchanged, which is the
-/// lenient behaviour we want for synthetic data.
-pub fn decode_entities(raw: &str) -> String {
+/// `raw`, borrowing it unchanged when it contains no `&`. Unknown entities
+/// are passed through unchanged, which is the lenient behaviour we want
+/// for synthetic data.
+pub fn decode_entities(raw: &str) -> Cow<'_, str> {
     if !raw.contains('&') {
-        return raw.to_string();
+        return Cow::Borrowed(raw);
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -513,28 +485,25 @@ pub fn decode_entities(raw: &str) -> String {
         let tail = &rest[amp..];
         if let Some(semi) = tail.find(';') {
             let entity = &tail[1..semi];
-            let decoded: Option<String> = match entity {
-                "amp" => Some("&".into()),
-                "lt" => Some("<".into()),
-                "gt" => Some(">".into()),
-                "apos" => Some("'".into()),
-                "quot" => Some("\"".into()),
+            let decoded = match entity {
+                "amp" => Some('&'),
+                "lt" => Some('<'),
+                "gt" => Some('>'),
+                "apos" => Some('\''),
+                "quot" => Some('"'),
                 _ if entity.starts_with("#x") || entity.starts_with("#X") => {
                     u32::from_str_radix(&entity[2..], 16)
                         .ok()
                         .and_then(char::from_u32)
-                        .map(|c| c.to_string())
                 }
-                _ if entity.starts_with('#') => entity[1..]
-                    .parse::<u32>()
-                    .ok()
-                    .and_then(char::from_u32)
-                    .map(|c| c.to_string()),
+                _ if entity.starts_with('#') => {
+                    entity[1..].parse::<u32>().ok().and_then(char::from_u32)
+                }
                 _ => None,
             };
             match decoded {
-                Some(s) => {
-                    out.push_str(&s);
+                Some(c) => {
+                    out.push(c);
                     rest = &tail[semi + 1..];
                 }
                 None => {
@@ -549,7 +518,7 @@ pub fn decode_entities(raw: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 /// Escapes the characters that must be escaped in XML text content.
@@ -585,7 +554,7 @@ pub fn escape_attr(value: &str) -> String {
 mod tests {
     use super::*;
 
-    fn events(s: &str) -> Vec<SaxEvent> {
+    fn events(s: &str) -> Vec<SaxEvent<'_>> {
         SaxParser::new(s).collect_events().unwrap()
     }
 
@@ -593,15 +562,15 @@ mod tests {
     fn simple_document() {
         let evts = events("<a><b></b></a>");
         assert_eq!(evts.len(), 4);
-        assert!(matches!(&evts[0], SaxEvent::StartElement { name, .. } if name == "a"));
-        assert!(matches!(&evts[3], SaxEvent::EndElement { name } if name == "a"));
+        assert!(matches!(&evts[0], SaxEvent::StartElement { name: "a", .. }));
+        assert!(matches!(&evts[3], SaxEvent::EndElement { name: "a" }));
     }
 
     #[test]
     fn self_closing_emits_both_events() {
         let evts = events("<a><b/></a>");
-        assert!(matches!(&evts[1], SaxEvent::StartElement { name, .. } if name == "b"));
-        assert!(matches!(&evts[2], SaxEvent::EndElement { name } if name == "b"));
+        assert!(matches!(&evts[1], SaxEvent::StartElement { name: "b", .. }));
+        assert!(matches!(&evts[2], SaxEvent::EndElement { name: "b" }));
     }
 
     #[test]
@@ -628,6 +597,20 @@ mod tests {
     }
 
     #[test]
+    fn events_borrow_unless_an_entity_is_decoded() {
+        let evts = events("<a x='1' y='&lt;'>plain<b/>&amp;</a>");
+        match &evts[0] {
+            SaxEvent::StartElement { attributes, .. } => {
+                assert!(matches!(attributes[0].value, Cow::Borrowed("1")));
+                assert!(matches!(&attributes[1].value, Cow::Owned(v) if v == "<"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(evts[1], SaxEvent::Text(Cow::Borrowed("plain"))));
+        assert!(matches!(&evts[4], SaxEvent::Text(Cow::Owned(t)) if t == "&"));
+    }
+
+    #[test]
     fn cdata_is_text() {
         let evts = events("<a><![CDATA[<raw> & stuff]]></a>");
         match &evts[1] {
@@ -640,15 +623,25 @@ mod tests {
     fn comments_and_pis() {
         let evts = events("<?xml version=\"1.0\"?><!-- hello --><a><?target data?></a>");
         assert!(matches!(&evts[0], SaxEvent::Comment(c) if c.trim() == "hello"));
-        assert!(
-            matches!(&evts[2], SaxEvent::ProcessingInstruction { target, data } if target == "target" && data == "data")
-        );
+        assert!(matches!(
+            &evts[2],
+            SaxEvent::ProcessingInstruction {
+                target: "target",
+                data: "data"
+            }
+        ));
     }
 
     #[test]
     fn doctype_is_skipped() {
         let evts = events("<!DOCTYPE article [ <!ELEMENT article (#PCDATA)> ]><article/>");
-        assert!(matches!(&evts[0], SaxEvent::StartElement { name, .. } if name == "article"));
+        assert!(matches!(
+            &evts[0],
+            SaxEvent::StartElement {
+                name: "article",
+                ..
+            }
+        ));
     }
 
     #[test]

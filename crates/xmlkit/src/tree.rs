@@ -69,14 +69,18 @@ pub struct Document {
 }
 
 impl Document {
-    /// Parses an XML string into a document tree.
+    /// Parses an XML string into a document tree. The parser's events
+    /// borrow from `input`, so an element, end tag or text run allocates
+    /// nothing beyond the amortized growth of the node arena and the
+    /// stacks, except for the name table's first sighting of a name,
+    /// attribute lists, and text that contains an entity reference.
     pub fn parse_str(input: &str) -> Result<Self> {
         let mut builder = DocumentBuilder::new();
         let mut parser = SaxParser::new(input);
         loop {
             match parser.next_event()? {
                 SaxEvent::StartElement { name, .. } => {
-                    builder.start_element(&name);
+                    builder.start_element(name);
                 }
                 SaxEvent::EndElement { .. } => {
                     builder.end_element();
